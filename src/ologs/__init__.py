@@ -41,6 +41,7 @@ from .olog import (
 from .instance import (
     Instance,
     InstanceTable,
+    check_totality,
     evaluate_path,
     load_bundle,
     load_table,

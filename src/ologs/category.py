@@ -65,17 +65,19 @@ class PathCategory:
     generators: tuple[Generator, ...]
     equations: tuple[Equation, ...] = ()
     _gen_index: dict[str, Generator] = field(init=False, repr=False)
+    _object_set: frozenset[str] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if len(set(self.objects)) != len(self.objects):
+        self._object_set = frozenset(self.objects)
+        if len(self._object_set) != len(self.objects):
             raise UnknownObject("duplicate object identifiers")
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise UnknownGenerator("duplicate generator identifiers")
         self._gen_index = {g.name: g for g in self.generators}
-        objs = set(self.objects)
         for g in self.generators:
-            if g.source not in objs or g.target not in objs:
+            if (g.source not in self._object_set
+                    or g.target not in self._object_set):
                 raise UnknownObject(
                     f"generator {g.name!r} has endpoint outside the category"
                 )
@@ -113,7 +115,7 @@ class PathCategory:
 
     def check_path(self, p: Path) -> None:
         """Raise InvalidPath unless p is a composable run rooted in this category."""
-        if p.source not in self._obj_set():
+        if p.source not in self._object_set:
             raise InvalidPath(f"unknown source object {p.source!r}")
         at = p.source
         for name in p.arrows:
@@ -125,9 +127,6 @@ class PathCategory:
                     f"generator {name!r} does not compose at object {at!r}"
                 )
             at = g.target
-
-    def _obj_set(self) -> set[str]:
-        return set(self.objects)
 
     def path(self, source: str, arrows=()) -> Path:
         p = Path(source, tuple(arrows))
@@ -156,7 +155,7 @@ class PathCategory:
         return Path(p.source, p.arrows + q.arrows)
 
     def identity(self, obj: str) -> Path:
-        if obj not in self._obj_set():
+        if obj not in self._object_set:
             raise UnknownObject(obj)
         return Path(obj)
 

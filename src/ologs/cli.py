@@ -21,7 +21,12 @@ from .dsl import (
     serialize_olog,
 )
 from .errors import OlogError, ParseError
-from .instance import load_bundle, read_table_file, write_bundle
+from .instance import (
+    check_totality,
+    load_bundle,
+    read_table_file,
+    write_bundle,
+)
 from .language import read_sentence
 from .mapping import (
     DEFAULT_SEARCH_LIMIT,
@@ -117,15 +122,32 @@ def cmd_check_instance(args) -> int:
     return _emit(report, args.json)
 
 
-def cmd_check_mapping(args) -> int:
-    doc, base, m = _load_mapping(args.map_file)
+def _validate_mapping(m, bound: int) -> ValidationReport:
+    """Both ologs, then the linguistic functor between them."""
     report = validate_olog(m.source)
     report.extend(validate_olog(m.target))
     if report.ok:
-        report = validate_linguistic_functor(m, args.bound)
+        report = validate_linguistic_functor(m, bound)
+    return report
+
+
+def _load_data(args, m):
+    """Load both bundles and check their tables are total and in range."""
+    i = load_bundle(args.src_data, m.source)
+    j = load_bundle(args.dst_data, m.target)
+    report = check_totality(i)
+    report.extend(check_totality(j))
+    return i, j, report
+
+
+def cmd_check_mapping(args) -> int:
+    doc, base, m = _load_mapping(args.map_file)
+    report = _validate_mapping(m, args.bound)
     if report.ok and args.src_data and args.dst_data:
-        i = load_bundle(args.src_data, m.source)
-        j = load_bundle(args.dst_data, m.target)
+        i, j, data_report = _load_data(args, m)
+        report.extend(data_report)
+        if not report.ok:
+            return _emit(report, args.json)
         correspondences = _load_correspondences(doc, base, m)
         components = {}
         for obj, pairs in correspondences.items():
@@ -164,8 +186,12 @@ def cmd_migrate(args) -> int:
 
 def cmd_search_conforming(args) -> int:
     doc, base, m = _load_mapping(args.map_file)
-    i = load_bundle(args.src_data, m.source)
-    j = load_bundle(args.dst_data, m.target)
+    report = _validate_mapping(m, DEFAULT_BOUND)
+    if not report.ok:
+        return _emit(report, args.json)
+    i, j, report = _load_data(args, m)
+    if not report.ok:
+        return _emit(report, args.json)
     correspondences = _load_correspondences(doc, base, m)
     count, survivors = search_conforming(m, i, j, correspondences, args.limit)
     if args.json:

@@ -479,6 +479,9 @@ def morphism_from_document(doc: MappingDocument, source: Olog, target: Olog):
             raise DanglingReference(f"unknown source object {src!r}")
         if dst not in dst_objects:
             raise DanglingReference(f"unknown target object {dst!r}")
+    for obj in (*doc.components, *doc.tables):
+        if obj not in src_objects:
+            raise DanglingReference(f"unknown source object {obj!r}")
     generator_map = {}
     for name, ids in doc.aspect_map.items():
         try:

@@ -18,7 +18,6 @@ from .errors import (
     DuplicateKey,
     MissingMapping,
     UnboundHeader,
-    UnknownGenerator,
     UnknownToken,
 )
 from .language import read_correspondence, read_sentence, read_verb
@@ -31,20 +30,28 @@ class Instance:
     olog: Olog
     tokens: dict[str, tuple[str, ...]]
     functions: dict[str, dict[str, str]] = field(default_factory=dict)
+    _token_sets: dict[str, frozenset[str]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._token_sets = {obj: frozenset(toks)
+                            for obj, toks in self.tokens.items()}
 
     def token_set(self, obj: str) -> tuple[str, ...]:
         return self.tokens.get(obj, ())
 
+    def has_token(self, obj: str, token: str) -> bool:
+        return token in self._token_sets.get(obj, ())
+
     def function(self, gen: str) -> dict[str, str]:
-        if gen not in {g.name for g in self.olog.category.generators}:
-            raise UnknownGenerator(gen)
+        self.olog.category.generator(gen)  # raises UnknownGenerator
         return self.functions.get(gen, {})
 
 
 def evaluate_path(inst: Instance, p: Path, token: str) -> str:
     """Apply the token functions along p, left to right."""
     inst.olog.category.check_path(p)
-    if token not in inst.token_set(p.source):
+    if not inst.has_token(p.source, token):
         raise UnknownToken(f"{token!r} is not a token at {p.source!r}")
     value = token
     for gen in p.arrows:
@@ -57,33 +64,37 @@ def evaluate_path(inst: Instance, p: Path, token: str) -> str:
     return value
 
 
+def check_totality(inst: Instance) -> ValidationReport:
+    """Check that every token function is total on its source tokens and
+    maps declared tokens to declared tokens."""
+    report = ValidationReport()
+    for g in inst.olog.category.generators:
+        mapping = inst.functions.get(g.name, {})
+        for x in inst.token_set(g.source):
+            if x not in mapping:
+                report.add("totality-violation",
+                           f"{g.name!r} has no value for token {x!r}")
+        for x, y in mapping.items():
+            if not inst.has_token(g.source, x):
+                report.add("undeclared-token",
+                           f"{g.name!r} maps undeclared token {x!r}")
+            if not inst.has_token(g.target, y):
+                report.add("range-violation",
+                           f"{g.name!r} sends {x!r} to {y!r}, which is not "
+                           f"a token at {g.target!r}")
+    return report
+
+
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check totality, single-valuedness of ranges, and every declared fact.
 
     Fact checking evaluates both sides of each declared equation on
     every token of the shared source.
     """
-    report = ValidationReport()
-    cat = inst.olog.category
-    for g in cat.generators:
-        mapping = inst.functions.get(g.name, {})
-        src_tokens = set(inst.token_set(g.source))
-        tgt_tokens = set(inst.token_set(g.target))
-        for x in inst.token_set(g.source):
-            if x not in mapping:
-                report.add("totality-violation",
-                           f"{g.name!r} has no value for token {x!r}")
-        for x, y in mapping.items():
-            if x not in src_tokens:
-                report.add("undeclared-token",
-                           f"{g.name!r} maps undeclared token {x!r}")
-            if y not in tgt_tokens:
-                report.add("range-violation",
-                           f"{g.name!r} sends {x!r} to {y!r}, which is not "
-                           f"a token at {g.target!r}")
+    report = check_totality(inst)
     if not report.ok:
         return report
-    for eq in cat.equations:
+    for eq in inst.olog.category.equations:
         for x in inst.token_set(eq.left.source):
             left = evaluate_path(inst, eq.left, x)
             right = evaluate_path(inst, eq.right, x)

@@ -10,7 +10,6 @@ authors have declared.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import prod
 
@@ -186,6 +185,18 @@ class InstanceMorphism:
     declared_correspondences: dict[str, frozenset] = field(default_factory=dict)
 
 
+def naturality_squares(m: OlogMorphism, i: Instance):
+    """Yield (g, F(g), x, g(x)) for each generator g and token x at g.source.
+
+    Components p make that square commute when F(g)(p(x)) == p(g(x)).
+    """
+    for g in m.source.category.generators:
+        image = m.functor.apply(Path(g.source, (g.name,)))
+        values = i.function(g.name)
+        for x in i.token_set(g.source):
+            yield g, image, x, values[x]
+
+
 def check_naturality(p: InstanceMorphism) -> ValidationReport:
     """Check totality of components and every naturality square on tokens."""
     report = ValidationReport()
@@ -193,29 +204,24 @@ def check_naturality(p: InstanceMorphism) -> ValidationReport:
     i, j = p.source, p.target
     for c in m.source.category.objects:
         comp = p.component_functions.get(c, {})
-        dst_tokens = set(j.token_set(m.functor.apply_object(c)))
+        fc = m.functor.apply_object(c)
         for x in i.token_set(c):
             if x not in comp:
                 report.add("component-totality",
                            f"component at {c!r} has no value for {x!r}")
-            elif comp[x] not in dst_tokens:
+            elif not j.has_token(fc, comp[x]):
                 report.add("component-range",
                            f"component at {c!r} sends {x!r} outside the "
                            f"target tokens")
     if not report.ok:
         return report
-    for g in m.source.category.generators:
-        image = m.functor.apply(Path(g.source, (g.name,)))
-        p_src = p.component_functions.get(g.source, {})
-        p_tgt = p.component_functions.get(g.target, {})
-        for x in i.token_set(g.source):
-            through_source = evaluate_path(j, image, p_src[x])
-            through_target = p_tgt[i.function(g.name)[x]]
-            if through_source != through_target:
-                report.add(
-                    "naturality-violation",
-                    f"square at generator {g.name!r} fails on token {x!r}",
-                )
+    comps = p.component_functions
+    for g, image, x, gx in naturality_squares(m, i):
+        if evaluate_path(j, image, comps[g.source][x]) != comps[g.target][gx]:
+            report.add(
+                "naturality-violation",
+                f"square at generator {g.name!r} fails on token {x!r}",
+            )
     return report
 
 
@@ -242,39 +248,69 @@ def search_conforming(
     correspondences: dict[str, frozenset],
     limit: int = DEFAULT_SEARCH_LIMIT,
 ) -> tuple[int, list[InstanceMorphism]]:
-    """Enumerate all total component families; keep the natural, conforming ones.
+    """Find every total component family that is natural and conforming.
 
-    Returns (candidate count, survivors).  Candidates are enumerated in
-    lexicographic token order, so the output order is canonical.
+    Returns (candidate count, survivors).  The count, which `limit`
+    bounds, is the number of total component families.  The search
+    assigns one source token at a time in canonical order (objects
+    sorted, then tokens sorted), tries only the token's declared
+    partners, and checks each naturality square as soon as both of its
+    tokens are assigned.  Survivors come out in lexicographic order,
+    the order in which the families themselves would be listed.
     """
     objs = sorted(m.source.category.objects)
-    domains = {c: sorted(i.token_set(c)) for c in objs}
     codomains = {
         c: sorted(j.token_set(m.functor.apply_object(c))) for c in objs
     }
     count = prod(
-        len(codomains[c]) ** len(domains[c]) for c in objs
+        len(codomains[c]) ** len(i.token_set(c)) for c in objs
     )
     if count > limit:
         raise SearchSpaceTooLarge(count, limit)
-    per_object = []
-    for c in objs:
-        choices = [
-            dict(zip(domains[c], values))
-            for values in itertools.product(codomains[c], repeat=len(domains[c]))
-        ]
-        per_object.append(choices)
+    variables = [(c, x) for c in objs for x in sorted(i.token_set(c))]
+    domains = [
+        [y for y in codomains[c]
+         if (x, y) in correspondences.get(c, frozenset())]
+        for c, x in variables
+    ]
+    if not all(domains):
+        return count, []
+    # checks[k] holds the squares whose later token is variables[k], as
+    # (position of x, position of g(x), F(g) tabulated on the target).
+    position = {var: k for k, var in enumerate(variables)}
+    tables = {}
+    checks = [[] for _ in variables]
+    for g, image, x, gx in naturality_squares(m, i):
+        if g.name not in tables:
+            tables[g.name] = {y: evaluate_path(j, image, y)
+                              for y in j.token_set(image.source)}
+        a, b = position[(g.source, x)], position[(g.target, gx)]
+        checks[max(a, b)].append((a, b, tables[g.name]))
+
     survivors = []
-    for combo in itertools.product(*per_object):
-        candidate = InstanceMorphism(
-            source=i,
-            target=j,
-            over=m,
-            component_functions=dict(zip(objs, combo)),
-            declared_correspondences=correspondences,
-        )
-        if check_naturality(candidate).ok and check_conformance(candidate).ok:
-            survivors.append(candidate)
+    values = [None] * len(variables)
+    tried = [0] * len(variables)  # values of domains[k] tried so far
+    k = 0
+    while k >= 0:
+        if k == len(variables):
+            components = {c: {} for c in objs}
+            for (c, x), y in zip(variables, values):
+                components[c][x] = y
+            survivors.append(
+                InstanceMorphism(i, j, m, components, correspondences))
+            k -= 1
+            continue
+        domain = domains[k]
+        while tried[k] < len(domain):
+            values[k] = domain[tried[k]]
+            tried[k] += 1
+            if all(table[values[a]] == values[b]
+                   for a, b, table in checks[k]):
+                k += 1
+                break
+        else:  # every value of this token is spent: backtrack
+            tried[k] = 0
+            k -= 1
     return count, survivors
 
 

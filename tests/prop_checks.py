@@ -4,7 +4,9 @@ Each check runs a seeded sweep and raises AssertionError on the first
 law violation, so both suites exercise identical logic.
 """
 
+import itertools
 import random
+from math import prod
 
 from ologs.category import Equation, Path, PathCategory, compose_functors, identity_functor
 from ologs.dsl import (
@@ -14,9 +16,21 @@ from ologs.dsl import (
     serialize_olog,
 )
 from ologs.instance import evaluate_path
-from ologs.language import read_verb
-from ologs.mapping import pullback_instance, pullback_olog, pullback_structure
-from ologs.olog import Olog, derived_aspect, derived_authors, validate_olog
+from ologs.language import UNIT, read_verb
+from ologs.mapping import (
+    OlogMorphism,
+    pullback_instance,
+    pullback_olog,
+    pullback_structure,
+    search_conforming,
+)
+from ologs.olog import (
+    AspectLabel,
+    Olog,
+    derived_aspect,
+    derived_authors,
+    validate_olog,
+)
 
 from oracle import congruence_closure
 from randgen import (
@@ -238,3 +252,79 @@ def check_dsl_roundtrip(n=500, seed=6006):
             text = serialize_mapping(random_mapping_document(rng))
             assert serialize_mapping(parse_mapping(text)) == text
     return n
+
+
+def _ordered(comps):
+    return [(c, list(comp.items())) for c, comp in comps.items()]
+
+
+def _enumerate_conforming(m, i, j, correspondences):
+    """Every total component family in product order, kept when each pair
+    is declared and every square commutes, walking the token dicts."""
+    objs = sorted(m.source.category.objects)
+    per_object = []
+    for c in objs:
+        domain = sorted(i.token_set(c))
+        codomain = sorted(j.token_set(m.functor.apply_object(c)))
+        per_object.append([dict(zip(domain, values)) for values
+                           in itertools.product(codomain, repeat=len(domain))])
+    count = 0
+    survivors = []
+    for combo in itertools.product(*per_object):
+        count += 1
+        comps = dict(zip(objs, combo))
+        if any((x, y) not in correspondences.get(c, frozenset())
+               for c, comp in comps.items() for x, y in comp.items()):
+            continue
+        natural = True
+        for g in m.source.category.generators:
+            image = m.functor.generator_map[g.name]
+            for x, gx in i.functions[g.name].items():
+                y = comps[g.source][x]
+                for arrow in image.arrows:
+                    y = j.functions[arrow][y]
+                natural = natural and y == comps[g.target][gx]
+        if natural:
+            survivors.append(comps)
+    return count, survivors
+
+
+def check_search_matches_enumeration(n=300, seed=7007, max_candidates=4000):
+    """search_conforming finds the same survivors, in the same order, as
+    filtering the whole product of total component families."""
+    compared = 0
+    found = 0
+    for k in range(n):
+        rng = random.Random(seed + k)
+        src = random_olog(rng, max_objects=3, max_generators=3,
+                          max_equations=0)
+        dst = random_olog(rng, max_objects=3, max_generators=4)
+        f = random_functor(rng, src.category, dst.category)
+        if f is None:
+            continue
+        j = random_instance(rng, dst)
+        # Pulled back along f, the source has the identity family as a
+        # survivor, since every relation below declares the pairs (x, x).
+        i = pullback_instance(f, j) if k % 2 else random_instance(rng, src)
+        objs = src.category.objects
+        if prod(len(j.token_set(f.apply_object(c))) ** len(i.token_set(c))
+                for c in objs) > max_candidates:
+            continue
+        correspondences = {
+            c: frozenset((x, y) for x in i.token_set(c)
+                         for y in j.token_set(f.apply_object(c))
+                         if x == y or rng.random() < 0.5)
+            for c in objs
+        }
+        m = OlogMorphism(i.olog, dst, f,
+                         {c: AspectLabel(UNIT, frozenset()) for c in objs})
+        count, survivors = search_conforming(m, i, j, correspondences)
+        expected_count, expected = _enumerate_conforming(
+            m, i, j, correspondences)
+        assert count == expected_count, k
+        got = [p.component_functions for p in survivors]
+        assert list(map(_ordered, got)) == list(map(_ordered, expected)), k
+        compared += 1
+        found += len(survivors)
+    assert compared > 0 and found > 0
+    return compared

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, readings, JSON reports."""
 
+import csv
 import json
 import shutil
 
@@ -195,6 +196,81 @@ class TestSearchConforming:
         )
         assert code == 2
         assert "25" in err
+
+
+def write_self_merge(fixtures, base):
+    """The fatherhood olog mapped onto itself by the identity, with the
+    bush bundle on both sides and identity correspondence tables."""
+    shutil.copy(fixtures / "father.olog", base)
+    for side in ("src", "dst"):
+        shutil.copytree(fixtures / "data" / "bush", base / side)
+    for obj in ("person", "father"):
+        with open(fixtures / "data" / "bush" / f"{obj}.csv",
+                  encoding="utf-8") as handle:
+            noun, *tokens = [row[0] for row in csv.reader(handle)]
+        with open(base / f"{obj}_corr.csv", "w", newline="",
+                  encoding="utf-8") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow([noun, f"is {noun}, namely"])
+            writer.writerows((t, t) for t in tokens)
+    (base / "self.map").write_text(
+        'mapping "self"\n'
+        'source "father.olog"\n'
+        'target "father.olog"\n'
+        "object person -> person\n"
+        "object father -> father\n"
+        "aspect has -> [has]\n"
+        'component person = "is" by {S}\n'
+        'component father = "is" by {S}\n'
+        "square has by {S}\n"
+        'table person = "person_corr.csv"\n'
+        'table father = "father_corr.csv"\n',
+        encoding="utf-8",
+    )
+    return ["--src-data", base / "src", "--dst-data", base / "dst"]
+
+
+@pytest.mark.parametrize("command", ["search-conforming", "check-mapping"])
+class TestMalformedMergeInputs:
+    def test_clean_inputs_pass(self, fixtures, tmp_path, command, capsys):
+        data = write_self_merge(fixtures, tmp_path)
+        code, _, err = run(capsys, command, tmp_path / "self.map", *data)
+        assert code == 0 and err == ""
+
+    def test_non_total_source_data(self, fixtures, tmp_path, command, capsys):
+        data = write_self_merge(fixtures, tmp_path)
+        has = tmp_path / "src" / "has.csv"
+        rows = has.read_text(encoding="utf-8").splitlines()
+        has.write_text("\n".join(rows[:-1]) + "\n", encoding="utf-8")
+        code, _, err = run(capsys, command, tmp_path / "self.map", *data)
+        assert code == 1
+        assert "totality-violation: 'has' has no value for token " \
+            "'Emmy Noether'" in err
+        assert "Traceback" not in err
+
+    def test_table_for_object_without_component(self, fixtures, tmp_path,
+                                                command, capsys):
+        data = write_self_merge(fixtures, tmp_path)
+        map_file = tmp_path / "self.map"
+        text = map_file.read_text(encoding="utf-8")
+        map_file.write_text(
+            text.replace('component father = "is" by {S}\n', ""),
+            encoding="utf-8")
+        code, _, err = run(capsys, command, map_file, *data)
+        assert code == 1
+        assert "missing-component" in err
+        assert "Traceback" not in err
+
+    def test_table_for_unknown_object(self, fixtures, tmp_path, command,
+                                      capsys):
+        data = write_self_merge(fixtures, tmp_path)
+        map_file = tmp_path / "self.map"
+        with open(map_file, "a", encoding="utf-8") as handle:
+            handle.write('table nobody = "person_corr.csv"\n')
+        code, _, err = run(capsys, command, map_file, *data)
+        assert code == 2
+        assert "unknown source object 'nobody'" in err
+        assert "Traceback" not in err
 
 
 def test_usage_error_exits_two(capsys):

@@ -1,9 +1,17 @@
 """Olog morphisms, pullbacks, naturality, conformance, search."""
 
+import time
+
 import pytest
 
 from ologs.category import CatFunctor, Generator, Path, PathCategory, identity_functor
-from ologs.dsl import load_olog, parse_mapping, morphism_from_document
+from ologs.dsl import (
+    load_olog,
+    morphism_from_document,
+    olog_from_document,
+    parse_mapping,
+    parse_olog,
+)
 from ologs.errors import InvalidFunctor, SearchSpaceTooLarge
 from ologs.instance import Instance, load_bundle, read_table_file
 from ologs.language import AtomicVerb, UNIT, authors, read_verb
@@ -226,6 +234,55 @@ class TestSearch:
         for p in survivors:
             assert check_naturality(p).ok
             assert check_conformance(p).ok
+
+
+def ring_search(tokens, target_tokens, correspondences):
+    """Search along the identity of a one-type olog whose aspect s sends
+    each token to the next one, cyclically, in both instances."""
+    ring = olog_from_document(parse_olog(
+        'olog "ring"\n'
+        'type a = "a token" by {S}\n'
+        'aspect s : a -> a = "precedes" by {S}\n'
+    ))
+
+    def cycle(toks):
+        return Instance(ring, {"a": toks}, {"s": {
+            t: toks[(n + 1) % len(toks)] for n, t in enumerate(toks)}})
+
+    m = OlogMorphism(ring, ring, identity_functor(ring.category),
+                     {"a": AspectLabel(UNIT, authors("S"))})
+    return search_conforming(m, cycle(tokens), cycle(target_tokens),
+                             {"a": frozenset(correspondences)})
+
+
+class TestSearchPruning:
+    def test_seven_tokens_identity_mapping(self):
+        tokens = tuple(f"t{n}" for n in range(7))
+        start = time.perf_counter()
+        count, survivors = ring_search(tokens, tokens,
+                                       ((t, t) for t in tokens))
+        elapsed = time.perf_counter() - start
+        assert count == 7 ** 7
+        assert [p.component_functions for p in survivors] == [
+            {"a": {t: t for t in tokens}}
+        ]
+        assert elapsed < 1.0
+        # With every pair declared, the survivors are the maps that
+        # commute with the cycle: its seven rotations, in order.
+        _, survivors = ring_search(
+            tokens, tokens, ((x, y) for x in tokens for y in tokens))
+        assert [p.component_functions["a"] for p in survivors] == [
+            {t: tokens[(n + r) % 7] for n, t in enumerate(tokens)}
+            for r in range(7)
+        ]
+
+    def test_many_tokens_onto_one(self):
+        tokens = tuple(f"t{n:04d}" for n in range(5000))
+        count, survivors = ring_search(tokens, ("only",),
+                                       ((t, "only") for t in tokens))
+        assert count == 1
+        assert len(survivors) == 1
+        assert set(survivors[0].component_functions["a"].values()) == {"only"}
 
 
 class TestNaturalityAndConformance:

@@ -23,5 +23,9 @@ def test_pullback_functoriality_and_identity():
     assert prop_checks.check_pullback_laws(n=100) > 0
 
 
+def test_search_matches_product_enumeration():
+    assert prop_checks.check_search_matches_enumeration(n=300) > 0
+
+
 def test_dsl_round_trip_on_random_documents():
     assert prop_checks.check_dsl_roundtrip(n=500) == 500
