@@ -1,10 +1,12 @@
 """Finitely presented categories: paths, path equality, functors.
 
 A category is given by objects, generator arrows, and declared equations
-between parallel paths.  Equality of paths is decided by bounded
-bidirectional rewriting with the declared equations; this is sound but
-necessarily incomplete (the word problem is undecidable in general), so
-the negative answer only means "not proved within the bound".
+between parallel paths.  Equality of paths is decided by a bounded
+breadth-first search from one path that applies each declared equation
+in either direction to a subpath, the bound counting rewrite steps; this
+is sound but necessarily incomplete (the word problem is undecidable in
+general), so the negative answer only means "not proved within the
+bound".
 """
 
 from __future__ import annotations
@@ -17,12 +19,15 @@ from .errors import (
     InvalidPath,
     NonComposable,
     ShapeMismatch,
+    UnknownEquation,
     UnknownGenerator,
     UnknownObject,
 )
 from .report import ValidationReport
 
 DEFAULT_BOUND = 8
+
+Arrows = tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -66,6 +71,13 @@ class PathCategory:
     equations: tuple[Equation, ...] = ()
     _gen_index: dict[str, Generator] = field(init=False, repr=False)
     _object_set: frozenset[str] = field(init=False, repr=False)
+    _eq_index: dict[str, Equation] = field(init=False, repr=False)
+    # Equation sides in both directions, as (from, to) arrow runs keyed
+    # by the first arrow of `from`; when `from` is an identity, only `to`,
+    # keyed by its object.
+    _rules_by_arrow: dict[str, list[tuple[Arrows, Arrows]]] = field(
+        init=False, repr=False)
+    _rules_by_object: dict[str, list[Arrows]] = field(init=False, repr=False)
 
     def __post_init__(self):
         self._object_set = frozenset(self.objects)
@@ -81,9 +93,11 @@ class PathCategory:
                 raise UnknownObject(
                     f"generator {g.name!r} has endpoint outside the category"
                 )
-        eq_names = [e.name for e in self.equations]
-        if len(set(eq_names)) != len(eq_names):
+        self._eq_index = {e.name: e for e in self.equations}
+        if len(self._eq_index) != len(self.equations):
             raise DuplicateId("duplicate equation identifiers")
+        self._rules_by_arrow = {}
+        self._rules_by_object = {}
         for e in self.equations:
             self.check_path(e.left)
             self.check_path(e.right)
@@ -92,6 +106,13 @@ class PathCategory:
                 raise ShapeMismatch(
                     f"equation {e.name!r}: sides do not share endpoints"
                 )
+            for frm, to in ((e.left, e.right), (e.right, e.left)):
+                if frm.arrows:
+                    self._rules_by_arrow.setdefault(frm.arrows[0], []).append(
+                        (frm.arrows, to.arrows))
+                else:
+                    self._rules_by_object.setdefault(frm.source, []).append(
+                        to.arrows)
 
     def __eq__(self, other):
         if not isinstance(other, PathCategory):
@@ -107,11 +128,10 @@ class PathCategory:
             raise UnknownGenerator(name) from None
 
     def equation(self, name: str) -> Equation:
-        for e in self.equations:
-            if e.name == name:
-                return e
-        from .errors import UnknownEquation
-        raise UnknownEquation(name)
+        try:
+            return self._eq_index[name]
+        except KeyError:
+            raise UnknownEquation(name) from None
 
     def check_path(self, p: Path) -> None:
         """Raise InvalidPath unless p is a composable run rooted in this category."""
@@ -159,24 +179,35 @@ class PathCategory:
             raise UnknownObject(obj)
         return Path(obj)
 
-    def _rewrites(self, p: Path):
-        """All paths reachable from p by one equation applied to a subpath."""
-        objs = self.objects_along(p)
+    def _rewrites(self, source: str, arrows: Arrows) -> list[Arrows]:
+        """All arrow runs reachable from the path (source, arrows) by one
+        equation, in either direction, applied to a subpath.
+
+        One walk along the path: at each position only the rules keyed
+        by the arrow there, and the identity rules keyed by the object
+        there (also at the end), can match.
+        """
+        by_arrow = self._rules_by_arrow
+        by_object = self._rules_by_object
+        gens = self._gen_index
         out = []
-        for eq in self.equations:
-            for frm, to in (eq.sides(), eq.sides()[::-1]):
-                k = len(frm.arrows)
-                for i in range(len(p.arrows) - k + 1):
-                    if p.arrows[i:i + k] != frm.arrows:
-                        continue
-                    if objs[i] != frm.source:
-                        continue
-                    out.append(Path(p.source,
-                                    p.arrows[:i] + to.arrows + p.arrows[i + k:]))
+        at = source
+        for i, name in enumerate(arrows):
+            for to in by_object.get(at, ()):
+                out.append(arrows[:i] + to + arrows[i:])
+            for frm, to in by_arrow.get(name, ()):
+                k = len(frm)
+                if arrows[i:i + k] == frm:
+                    out.append(arrows[:i] + to + arrows[i + k:])
+            at = gens[name].target
+        for to in by_object.get(at, ()):
+            out.append(arrows + to)
         return out
 
     def path_equal(self, p: Path, q: Path, bound: int = DEFAULT_BOUND) -> bool:
-        """Decide p = q by at most `bound` bidirectional rewrites.
+        """Decide p = q by a breadth-first search from p of at most
+        `bound` rewrite steps, each applying one equation in either
+        direction to a subpath.
 
         True means provably equal; False only means not proved within
         the bound.
@@ -187,13 +218,15 @@ class PathCategory:
             raise ShapeMismatch("paths do not share endpoints")
         if p == q:
             return True
-        seen = {p}
-        frontier = [p]
+        # Every rewrite keeps the source, so the search carries arrow runs.
+        source, goal = p.source, q.arrows
+        seen = {p.arrows}
+        frontier = [p.arrows]
         for _ in range(bound):
             nxt = []
             for r in frontier:
-                for s in self._rewrites(r):
-                    if s == q:
+                for s in self._rewrites(source, r):
+                    if s == goal:
                         return True
                     if s not in seen:
                         seen.add(s)

@@ -170,6 +170,9 @@ def cmd_check_mapping(args) -> int:
 
 def cmd_pullback(args) -> int:
     doc, _, m = _load_mapping(args.map_file)
+    report = _validate_mapping(m, DEFAULT_BOUND)
+    if not report.ok:
+        return _emit(report, args.json)
     pulled = pullback_olog(m.functor, m.target, f"{doc.name}.pullback")
     text = serialize_olog(document_from_olog(pulled))
     FsPath(args.out).write_text(text, encoding="utf-8")
@@ -178,6 +181,9 @@ def cmd_pullback(args) -> int:
 
 def cmd_migrate(args) -> int:
     _, _, m = _load_mapping(args.map_file)
+    report = _validate_mapping(m, DEFAULT_BOUND)
+    if not report.ok:
+        return _emit(report, args.json)
     j = load_bundle(args.dst_data, m.target)
     pulled = pullback_instance(m.functor, j)
     write_bundle(args.out, pulled)
@@ -227,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate an olog file")
     p.add_argument("olog_file")
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
-                   help="rewrite bound for path-equality checks")
     common(p)
     p.set_defaults(func=cmd_validate)
 
@@ -243,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check a CSV bundle against an olog")
     p.add_argument("olog_file")
     p.add_argument("csv_dir")
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
     common(p)
     p.set_defaults(func=cmd_check_instance)
 

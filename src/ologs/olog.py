@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .category import Path, PathCategory
-from .errors import UnknownEquation
 from .language import (
     AuthorSet,
     ConcatVerb,
@@ -21,8 +20,6 @@ from .language import (
     read_equivalence,
 )
 from .report import ValidationReport
-
-DERIVED_PREFIX = "~derived/"
 
 
 @dataclass(frozen=True)
@@ -141,12 +138,10 @@ def validate_olog(o: Olog) -> ValidationReport:
 
 
 def read_fact(o: Olog, eq_name: str) -> str:
-    for eq in o.category.equations:
-        if eq.name == eq_name:
-            return read_equivalence(
-                derived_sentence(o, eq.left), derived_sentence(o, eq.right)
-            )
-    raise UnknownEquation(eq_name)
+    eq = o.category.equation(eq_name)
+    return read_equivalence(
+        derived_sentence(o, eq.left), derived_sentence(o, eq.right)
+    )
 
 
 def restrict_to_author(o: Olog, author: str) -> Olog:

@@ -1,6 +1,11 @@
 """Presented categories: paths, rewriting, functors."""
 
+import random
+
 import pytest
+
+import randgen
+from oracle import _one_step
 
 from ologs.category import (
     CatFunctor,
@@ -17,6 +22,7 @@ from ologs.errors import (
     InvalidPath,
     NonComposable,
     ShapeMismatch,
+    UnknownEquation,
     UnknownGenerator,
     UnknownObject,
 )
@@ -162,6 +168,89 @@ class TestPathEqual:
         assert not chain_eq.path_equal(
             Path("x", ("u", "v")), Path("x", ("w",)), bound=0
         )
+
+
+def grid_category(n, missing=None):
+    """An n x n grid of objects with right arrows r_i_j: (i, j) -> (i, j+1)
+    and down arrows d_i_j: (i, j) -> (i+1, j), and one commuting fact per
+    cell except the cell `missing`."""
+    objects = tuple(f"o{i}_{j}" for i in range(n) for j in range(n))
+    gens = []
+    for i in range(n):
+        for j in range(n):
+            if j + 1 < n:
+                gens.append(Generator(f"r{i}_{j}", f"o{i}_{j}", f"o{i}_{j + 1}"))
+            if i + 1 < n:
+                gens.append(Generator(f"d{i}_{j}", f"o{i}_{j}", f"o{i + 1}_{j}"))
+    facts = tuple(
+        Equation(f"c{i}_{j}",
+                 Path(f"o{i}_{j}", (f"r{i}_{j}", f"d{i}_{j + 1}")),
+                 Path(f"o{i}_{j}", (f"d{i}_{j}", f"r{i + 1}_{j}")))
+        for i in range(n - 1) for j in range(n - 1) if (i, j) != missing
+    )
+    return PathCategory(objects, tuple(gens), facts)
+
+
+def grid_boundaries(n):
+    """Right along the top then down the right side; down the left side
+    then right along the bottom."""
+    last = n - 1
+    top_right = (tuple(f"r0_{j}" for j in range(last))
+                 + tuple(f"d{i}_{last}" for i in range(last)))
+    left_bottom = (tuple(f"d{i}_0" for i in range(last))
+                   + tuple(f"r{last}_{j}" for j in range(last)))
+    return Path("o0_0", top_right), Path("o0_0", left_bottom)
+
+
+class TestRewriteStep:
+    def test_one_step_matches_oracle(self):
+        rng = random.Random(4242)
+        identity_sided = compared = 0
+        for _ in range(300):
+            cat = randgen.random_category(rng, max_equations=4)
+            identity_sided += any(side.is_identity for eq in cat.equations
+                                  for side in eq.sides())
+            for p in randgen.enumerate_paths(cat, 3):
+                got = {Path(p.source, arrows)
+                       for arrows in cat._rewrites(p.source, p.arrows)}
+                assert got == set(_one_step(cat, p)), (cat, p)
+                compared += 1
+        assert identity_sided > 0
+        assert compared > 1000
+
+    def test_identity_rules_apply_at_every_position(self):
+        cat = PathCategory(
+            ("x",),
+            (Generator("loop", "x", "x"),),
+            (Equation("e", Path("x"), Path("x", ("loop",))),),
+        )
+        # Inserting `loop` before, between or after gives the same run;
+        # removing either `loop` gives the other.
+        assert sorted(cat._rewrites("x", ("loop", "loop"))) == [
+            ("loop",), ("loop",), ("loop", "loop", "loop"),
+            ("loop", "loop", "loop"), ("loop", "loop", "loop")]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_commuting_grid_boundaries_equal(self, n):
+        p, q = grid_boundaries(n)
+        assert grid_category(n).path_equal(p, q, bound=(n - 1) ** 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_grid_missing_a_fact_exhausts_the_frontier(self, n):
+        # Every rewrite flips one cell and no fact flips the missing one,
+        # so the reachable paths are finite and never include q.
+        p, q = grid_boundaries(n)
+        cat = grid_category(n, missing=(n // 2 - 1, n // 2 - 1))
+        assert not cat.path_equal(p, q, bound=4 * (n - 1) ** 2)
+
+
+class TestEquationLookup:
+    def test_equation_by_name(self, chain_eq):
+        assert chain_eq.equation("e") is chain_eq.equations[0]
+
+    def test_unknown_equation(self, chain_eq):
+        with pytest.raises(UnknownEquation):
+            chain_eq.equation("nope")
 
 
 class TestFunctors:

@@ -163,6 +163,75 @@ class TestMigrate:
         assert len(lines) == 6  # header + the five person tokens
 
 
+def write_marriage_without_aspects(fixtures, base):
+    """marriage.map with its aspect lines removed, so has_f and has_m
+    have no image."""
+    for name in ("child.olog", "marriage.olog"):
+        shutil.copy(fixtures / name, base)
+    lines = (fixtures / "marriage.map").read_text(encoding="utf-8").splitlines()
+    map_file = base / "marriage.map"
+    map_file.write_text(
+        "".join(line + "\n" for line in lines
+                if not line.startswith("aspect ")),
+        encoding="utf-8")
+    return map_file
+
+
+def write_self_map_without_aspect(fixtures, base):
+    """The identity self-merge with its `aspect has` line removed."""
+    data = write_self_merge(fixtures, base)
+    map_file = base / "self.map"
+    text = map_file.read_text(encoding="utf-8")
+    map_file.write_text(text.replace("aspect has -> [has]\n", ""),
+                        encoding="utf-8")
+    return map_file, data[-1]
+
+
+class TestUnvalidatedMapping:
+    """pullback and migrate validate the mapping before acting on it."""
+
+    def test_pullback_reports_missing_image(self, fixtures, tmp_path, capsys):
+        map_file = write_marriage_without_aspects(fixtures, tmp_path)
+        out_file = tmp_path / "pulled.olog"
+        code, out, err = run(capsys, "pullback", map_file, "--out", out_file)
+        assert code == 1
+        assert "missing-generator-image: generator 'has_f' has no image" in err
+        assert "error:" not in err
+        assert out == ""
+        assert not out_file.exists()
+
+    def test_pullback_json(self, fixtures, tmp_path, capsys):
+        map_file = write_marriage_without_aspects(fixtures, tmp_path)
+        code, out, err = run(capsys, "pullback", map_file,
+                             "--out", tmp_path / "pulled.olog", "--json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert {f["code"] for f in report["findings"]} == {
+            "missing-generator-image"}
+        assert err == ""
+
+    def test_migrate_reports_missing_image(self, fixtures, tmp_path, capsys):
+        map_file, dst = write_self_map_without_aspect(fixtures, tmp_path)
+        out_dir = tmp_path / "migrated"
+        code, out, err = run(capsys, "migrate", map_file, "--dst-data", dst,
+                             "--out", out_dir)
+        assert code == 1
+        assert "missing-generator-image: generator 'has' has no image" in err
+        assert "error:" not in err
+        assert out == ""
+        assert not out_dir.exists()
+
+    def test_migrate_json(self, fixtures, tmp_path, capsys):
+        map_file, dst = write_self_map_without_aspect(fixtures, tmp_path)
+        code, out, err = run(capsys, "migrate", map_file, "--dst-data", dst,
+                             "--out", tmp_path / "migrated", "--json")
+        assert code == 1
+        assert [f["code"] for f in json.loads(out)["findings"]] == [
+            "missing-generator-image"]
+        assert err == ""
+
+
 class TestSearchConforming:
     def test_counts_and_survivor(self, fixtures, capsys):
         code, out, _ = run(
