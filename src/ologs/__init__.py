@@ -45,6 +45,7 @@ from .instance import (
     evaluate_path,
     load_bundle,
     load_table,
+    path_table,
     render_correspondences,
     validate_instance,
 )

@@ -25,6 +25,7 @@ from .instance import (
     check_totality,
     load_bundle,
     read_table_file,
+    validate_instance,
     write_bundle,
 )
 from .language import read_sentence
@@ -116,8 +117,6 @@ def cmd_check_instance(args) -> int:
         except OlogError as exc:
             report.add("bad-bundle", str(exc))
         else:
-            from .instance import validate_instance
-
             report = validate_instance(instance)
     return _emit(report, args.json)
 
@@ -185,6 +184,9 @@ def cmd_migrate(args) -> int:
     if not report.ok:
         return _emit(report, args.json)
     j = load_bundle(args.dst_data, m.target)
+    report = check_totality(j)
+    if not report.ok:
+        return _emit(report, args.json)
     pulled = pullback_instance(m.functor, j)
     write_bundle(args.out, pulled)
     return 0

@@ -27,7 +27,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .category import Equation, Generator, Path, PathCategory
-from .errors import DanglingReference, DuplicateId, ParseError, ShapeMismatch
+from .errors import (
+    DanglingReference,
+    DuplicateId,
+    ParseError,
+    ShapeMismatch,
+    UnknownGenerator,
+)
 from .language import AtomicVerb, NounPhrase, UNIT, read_verb
 from .olog import AspectLabel, LinguisticStructure, Olog, TypeLabel
 
@@ -486,7 +492,7 @@ def morphism_from_document(doc: MappingDocument, source: Olog, target: Olog):
     for name, ids in doc.aspect_map.items():
         try:
             g = source.category.generator(name)
-        except Exception:
+        except UnknownGenerator:
             raise DanglingReference(f"unknown source aspect {name!r}") from None
         if ids is None:
             image_source = doc.object_map.get(g.source)

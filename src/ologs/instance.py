@@ -48,20 +48,31 @@ class Instance:
         return self.functions.get(gen, {})
 
 
+def _compose(inst: Instance, p: Path, table: dict[str, str]) -> dict[str, str]:
+    """Follow `table` by the token functions along p, arrow by arrow."""
+    for gen in p.arrows:
+        mapping = inst.functions.get(gen, {})
+        try:
+            table = {x: mapping[y] for x, y in table.items()}
+        except KeyError as exc:
+            raise MissingMapping(
+                f"token function of {gen!r} has no entry for {exc.args[0]!r}"
+            ) from None
+    return table
+
+
+def path_table(inst: Instance, p: Path) -> dict[str, str]:
+    """The composite token function of p, on every token at p.source."""
+    inst.olog.category.check_path(p)
+    return _compose(inst, p, {x: x for x in inst.token_set(p.source)})
+
+
 def evaluate_path(inst: Instance, p: Path, token: str) -> str:
     """Apply the token functions along p, left to right."""
     inst.olog.category.check_path(p)
     if not inst.has_token(p.source, token):
         raise UnknownToken(f"{token!r} is not a token at {p.source!r}")
-    value = token
-    for gen in p.arrows:
-        mapping = inst.functions.get(gen, {})
-        if value not in mapping:
-            raise MissingMapping(
-                f"token function of {gen!r} has no entry for {value!r}"
-            )
-        value = mapping[value]
-    return value
+    return _compose(inst, p, {token: token})[token]
 
 
 def check_totality(inst: Instance) -> ValidationReport:
@@ -88,21 +99,21 @@ def check_totality(inst: Instance) -> ValidationReport:
 def validate_instance(inst: Instance) -> ValidationReport:
     """Check totality, single-valuedness of ranges, and every declared fact.
 
-    Fact checking evaluates both sides of each declared equation on
-    every token of the shared source.
+    A fact holds when its two sides have equal path tables: the composite
+    token functions agree on every token of the shared source.
     """
     report = check_totality(inst)
     if not report.ok:
         return report
     for eq in inst.olog.category.equations:
+        left = path_table(inst, eq.left)
+        right = path_table(inst, eq.right)
         for x in inst.token_set(eq.left.source):
-            left = evaluate_path(inst, eq.left, x)
-            right = evaluate_path(inst, eq.right, x)
-            if left != right:
+            if left[x] != right[x]:
                 report.add(
                     "fact-violation",
                     f"equation {eq.name!r} fails on token {x!r}: "
-                    f"{left!r} != {right!r}",
+                    f"{left[x]!r} != {right[x]!r}",
                 )
     return report
 

@@ -13,7 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import prod
 
-from .category import CatFunctor, DEFAULT_BOUND, Path, validate_functor
+from .category import (
+    CatFunctor,
+    DEFAULT_BOUND,
+    Path,
+    identity_functor,
+    validate_functor,
+)
 from .errors import InvalidFunctor, SearchSpaceTooLarge
 from .language import AuthorSet, Sentence, UNIT, read_verb
 from .olog import (
@@ -23,7 +29,7 @@ from .olog import (
     derived_aspect,
     derived_authors,
 )
-from .instance import Instance, InstanceTable, evaluate_path
+from .instance import Instance, InstanceTable, path_table
 from .report import ValidationReport
 
 DEFAULT_SEARCH_LIMIT = 10 ** 6
@@ -150,13 +156,10 @@ def pullback_instance(f: CatFunctor, j: Instance, name: str | None = None) -> In
     """Re-tabulate an instance on f.target as an instance on f.source."""
     pulled = pullback_olog(f, j.olog, name)
     tokens = {c: j.token_set(f.apply_object(c)) for c in f.source.objects}
-    functions = {}
-    for g in f.source.generators:
-        image = f.apply(Path(g.source, (g.name,)))
-        functions[g.name] = {
-            x: evaluate_path(j, image, x)
-            for x in j.token_set(f.apply_object(g.source))
-        }
+    functions = {
+        g.name: path_table(j, f.apply(Path(g.source, (g.name,))))
+        for g in f.source.generators
+    }
     return Instance(pulled, tokens, functions)
 
 
@@ -185,13 +188,14 @@ class InstanceMorphism:
     declared_correspondences: dict[str, frozenset] = field(default_factory=dict)
 
 
-def naturality_squares(m: OlogMorphism, i: Instance):
+def naturality_squares(m: OlogMorphism, i: Instance, j: Instance):
     """Yield (g, F(g), x, g(x)) for each generator g and token x at g.source.
 
-    Components p make that square commute when F(g)(p(x)) == p(g(x)).
+    F(g) comes as its path table on j, computed once per generator.
+    Components p make the square commute when F(g)[p(x)] == p(g(x)).
     """
     for g in m.source.category.generators:
-        image = m.functor.apply(Path(g.source, (g.name,)))
+        image = path_table(j, m.functor.apply(Path(g.source, (g.name,))))
         values = i.function(g.name)
         for x in i.token_set(g.source):
             yield g, image, x, values[x]
@@ -216,8 +220,8 @@ def check_naturality(p: InstanceMorphism) -> ValidationReport:
     if not report.ok:
         return report
     comps = p.component_functions
-    for g, image, x, gx in naturality_squares(m, i):
-        if evaluate_path(j, image, comps[g.source][x]) != comps[g.target][gx]:
+    for g, image, x, gx in naturality_squares(m, i, j):
+        if image[comps[g.source][x]] != comps[g.target][gx]:
             report.add(
                 "naturality-violation",
                 f"square at generator {g.name!r} fails on token {x!r}",
@@ -278,14 +282,10 @@ def search_conforming(
     # checks[k] holds the squares whose later token is variables[k], as
     # (position of x, position of g(x), F(g) tabulated on the target).
     position = {var: k for k, var in enumerate(variables)}
-    tables = {}
     checks = [[] for _ in variables]
-    for g, image, x, gx in naturality_squares(m, i):
-        if g.name not in tables:
-            tables[g.name] = {y: evaluate_path(j, image, y)
-                              for y in j.token_set(image.source)}
+    for g, image, x, gx in naturality_squares(m, i, j):
         a, b = position[(g.source, x)], position[(g.target, gx)]
-        checks[max(a, b)].append((a, b, tables[g.name]))
+        checks[max(a, b)].append((a, b, image))
 
     survivors = []
     values = [None] * len(variables)
@@ -324,43 +324,21 @@ def check_co_instantiated(
     """Reversed-orientation check: data flows against the functor.
 
     Here q maps the pulled-back tokens of j onto tokens of i, per source
-    object, and the naturality squares and declared correspondences are
-    checked with the roles swapped accordingly.
+    object: it is an instance morphism from pullback_instance(F, j) to i
+    over the identity of m.source.  Component totality and range
+    findings end the check; otherwise the naturality findings come
+    first, then the conformance findings.  Both instances must be total
+    on their tables (check_totality), or MissingMapping is raised.
     """
-    report = ValidationReport()
-    f = m.functor
-    for c in f.source.objects:
-        comp = q_components.get(c, {})
-        dst_tokens = set(i.token_set(c))
-        for x in j.token_set(f.apply_object(c)):
-            if x not in comp:
-                report.add("component-totality",
-                           f"component at {c!r} has no value for {x!r}")
-            elif comp[x] not in dst_tokens:
-                report.add("component-range",
-                           f"component at {c!r} sends {x!r} outside the "
-                           f"target tokens")
-    if not report.ok:
-        return report
-    for g in f.source.generators:
-        image = f.apply(Path(g.source, (g.name,)))
-        q_src = q_components.get(g.source, {})
-        q_tgt = q_components.get(g.target, {})
-        for x in j.token_set(f.apply_object(g.source)):
-            through_j = q_tgt[evaluate_path(j, image, x)]
-            through_i = i.function(g.name)[q_src[x]]
-            if through_j != through_i:
-                report.add(
-                    "naturality-violation",
-                    f"square at generator {g.name!r} fails on token {x!r}",
-                )
-    for c in f.source.objects:
-        declared = correspondences.get(c, frozenset())
-        comp = q_components.get(c, {})
-        for x in j.token_set(f.apply_object(c)):
-            if (x, comp.get(x)) not in declared:
-                report.add(
-                    "unendorsed-correspondence",
-                    f"pair ({x!r}, {comp.get(x)!r}) at {c!r} is not declared",
-                )
+    src = m.source
+    identity = OlogMorphism(
+        src, src, identity_functor(src.category),
+        {c: AspectLabel(UNIT, src.type_authors(c))
+         for c in src.category.objects},
+    )
+    q = InstanceMorphism(pullback_instance(m.functor, j), i, identity,
+                         q_components, correspondences)
+    report = check_naturality(q)
+    if all(f.code == "naturality-violation" for f in report.findings):
+        report.extend(check_conformance(q))
     return report

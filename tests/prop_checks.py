@@ -15,7 +15,7 @@ from ologs.dsl import (
     serialize_mapping,
     serialize_olog,
 )
-from ologs.instance import evaluate_path
+from ologs.instance import evaluate_path, path_table
 from ologs.language import UNIT, read_verb
 from ologs.mapping import (
     OlogMorphism,
@@ -133,7 +133,8 @@ def check_unit_laws(n=100, seed=2002):
 
 
 def check_instance_functoriality(n=200, seed=3003):
-    """evaluatePath respects composition and identities."""
+    """evaluatePath respects composition and identities, and path_table
+    is evaluatePath on every token at once."""
     checked = 0
     for k in range(n):
         rng = random.Random(seed + k)
@@ -148,6 +149,10 @@ def check_instance_functoriality(n=200, seed=3003):
         for p in paths:
             by_source.setdefault(p.source, []).append(p)
         for p in paths:
+            table = path_table(inst, p)
+            assert list(table) == list(inst.token_set(p.source))
+            for x in inst.token_set(p.source):
+                assert table[x] == evaluate_path(inst, p, x)
             for q in by_source.get(cat.target_of(p), [])[:4]:
                 pq = cat.compose(p, q)
                 for x in inst.token_set(p.source):

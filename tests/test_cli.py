@@ -2,6 +2,7 @@
 
 import csv
 import json
+import random
 import shutil
 
 import pytest
@@ -161,6 +162,38 @@ class TestMigrate:
         lines = (out_dir / "h.csv").read_text(encoding="utf-8").splitlines()
         assert lines[0] == "a person"
         assert len(lines) == 6  # header + the five person tokens
+
+    def write_non_total_bundle(self, fixtures, base):
+        """The self-merge with Emmy Noether's row dropped from dst/has.csv."""
+        data = write_self_merge(fixtures, base)
+        has = base / "dst" / "has.csv"
+        rows = has.read_text(encoding="utf-8").splitlines()
+        has.write_text("\n".join(rows[:-1]) + "\n", encoding="utf-8")
+        return data[-1]
+
+    def test_non_total_bundle(self, fixtures, tmp_path, capsys):
+        dst = self.write_non_total_bundle(fixtures, tmp_path)
+        out_dir = tmp_path / "migrated"
+        code, out, err = run(capsys, "migrate", tmp_path / "self.map",
+                             "--dst-data", dst, "--out", out_dir)
+        assert code == 1
+        assert err == ("totality-violation: 'has' has no value for token "
+                       "'Emmy Noether'\n")
+        assert out == ""
+        assert not out_dir.exists()
+
+    def test_non_total_bundle_json(self, fixtures, tmp_path, capsys):
+        dst = self.write_non_total_bundle(fixtures, tmp_path)
+        out_dir = tmp_path / "migrated"
+        code, out, err = run(capsys, "migrate", tmp_path / "self.map",
+                             "--dst-data", dst, "--out", out_dir, "--json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["ok"] is False
+        assert [f["code"] for f in report["findings"]] == [
+            "totality-violation"]
+        assert err == ""
+        assert not out_dir.exists()
 
 
 def write_marriage_without_aspects(fixtures, base):
@@ -340,6 +373,69 @@ class TestMalformedMergeInputs:
         assert code == 2
         assert "unknown source object 'nobody'" in err
         assert "Traceback" not in err
+
+
+# Every subcommand, with paths relative to a copy of the fixtures that
+# also holds the self-merge of `write_self_merge`.
+FUZZ_COMMANDS = (
+    ("validate", "father.olog"),
+    ("read", "amino.olog", "--facts"),
+    ("check-instance", "father.olog", "data/bush"),
+    ("check-mapping", "weight_F.map"),
+    ("check-mapping", "self.map", "--src-data", "src", "--dst-data", "dst"),
+    ("pullback", "marriage.map", "--out", "{out}/pulled.olog"),
+    ("migrate", "self.map", "--dst-data", "dst", "--out", "{out}/migrated"),
+    ("search-conforming", "merge_father.map", "--src-data", "data/human",
+     "--dst-data", "data/person"),
+    ("search-conforming", "self.map", "--src-data", "src",
+     "--dst-data", "dst"),
+)
+
+
+def corrupt(text, rng):
+    """Delete a line, drop a character, or duplicate a line."""
+    lines = text.splitlines(keepends=True)
+    if not lines:
+        return text
+    k = rng.randrange(len(lines))
+    action = rng.randrange(3)
+    if action == 0:
+        del lines[k]
+    elif action == 1:
+        if lines[k]:
+            c = rng.randrange(len(lines[k]))
+            lines[k] = lines[k][:c] + lines[k][c + 1:]
+    else:
+        lines.insert(k, lines[k])
+    return "".join(lines)
+
+
+def test_corrupted_inputs_never_crash(fixtures, tmp_path, capsys,
+                                      monkeypatch):
+    """One corrupted file per trial; every subcommand exits 0, 1 or 2
+    and no exception escapes `main`."""
+    base = tmp_path / "fixtures"
+    shutil.copytree(fixtures, base)
+    write_self_merge(fixtures, base)
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.chdir(base)
+    files = sorted(p for p in base.rglob("*") if p.is_file())
+    rng = random.Random(5005)
+    for trial in range(75):
+        path = rng.choice(files)
+        original = path.read_text(encoding="utf-8")
+        path.write_text(corrupt(original, rng), encoding="utf-8")
+        for command in FUZZ_COMMANDS:
+            argv = [arg.format(out=out) for arg in command]
+            try:
+                code = main(argv)
+            except Exception as exc:
+                pytest.fail(f"trial {trial}, {path.relative_to(base)}: "
+                            f"{argv} raised {exc!r}")
+            assert code in (0, 1, 2), (trial, argv, code)
+            capsys.readouterr()
+        path.write_text(original, encoding="utf-8")
 
 
 def test_usage_error_exits_two(capsys):

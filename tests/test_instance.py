@@ -19,6 +19,7 @@ from ologs.instance import (
     instance_sentences,
     load_bundle,
     load_table,
+    path_table,
     read_table_file,
     render_correspondences,
     type_header,
@@ -66,6 +67,24 @@ def test_evaluate_path_missing_mapping(bush):
     del bush.functions["has"]["Jeb Bush"]
     with pytest.raises(MissingMapping):
         evaluate_path(bush, Path("person", ("has",)), "Jeb Bush")
+
+
+def test_path_table(bush):
+    assert path_table(bush, Path("person", ("has",))) == {
+        "George W. Bush": "George H. W. Bush",
+        "Jeb Bush": "George H. W. Bush",
+        "Emmy Noether": "Max Noether",
+    }
+    assert path_table(bush, Path("father")) == {
+        t: t for t in bush.token_set("father")}
+
+
+def test_path_table_missing_mapping(bush):
+    del bush.functions["has"]["Jeb Bush"]
+    with pytest.raises(MissingMapping,
+                       match="token function of 'has' has no entry for "
+                             "'Jeb Bush'"):
+        path_table(bush, Path("person", ("has",)))
 
 
 def test_totality_violation(bush):

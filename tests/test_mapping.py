@@ -370,6 +370,40 @@ class TestCoInstantiated:
         report = check_co_instantiated(m, q, {}, i, j)
         assert "component-totality" in {f.code for f in report.findings}
 
+    def setup_self_map(self, fixtures):
+        """The fatherhood olog onto itself by the identity, bush data on
+        both sides, identity pairs declared."""
+        father = load_olog(fixtures / "father.olog")
+        m = OlogMorphism(father, father, identity_functor(father.category),
+                         {c: AspectLabel(UNIT, authors("S"))
+                          for c in father.category.objects})
+        data = load_bundle(fixtures / "data" / "bush", father)
+        q = {c: {t: t for t in data.token_set(c)}
+             for c in father.category.objects}
+        corr = {c: frozenset(q[c].items()) for c in q}
+        return m, q, corr, data
+
+    def test_naturality_and_conformance_both_reported(self, fixtures):
+        m, q, corr, data = self.setup_self_map(fixtures)
+        q["person"]["Jeb Bush"] = "Emmy Noether"
+        report = check_co_instantiated(m, q, corr, data, data)
+        assert [(f.code, f.message) for f in report.findings] == [
+            ("naturality-violation",
+             "square at generator 'has' fails on token 'Jeb Bush'"),
+            ("unendorsed-correspondence",
+             "pair ('Jeb Bush', 'Emmy Noether') at 'person' is not declared"),
+        ]
+
+    def test_component_range_stops_the_check(self, fixtures):
+        m, q, corr, data = self.setup_self_map(fixtures)
+        q["person"]["Jeb Bush"] = "Nobody"
+        report = check_co_instantiated(m, q, corr, data, data)
+        assert [(f.code, f.message) for f in report.findings] == [
+            ("component-range",
+             "component at 'person' sends 'Jeb Bush' outside the target "
+             "tokens"),
+        ]
+
     def test_empty_instances_pass_vacuously(self, fixtures):
         m, _, _ = self.setup_inclusion(fixtures)
         empty_i = Instance(m.source, {"a": ()}, {})
