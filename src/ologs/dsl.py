@@ -20,10 +20,18 @@ An identity path is written [1].  Mapping grammar:
 
 Serialization is canonical: declarations sorted by kind then id, author
 lists sorted, LF line endings, trailing newline.
+
+A well-formed type, aspect or fact line of an olog after its header is
+read by one compiled pattern per kind, which builds the declaration
+from its groups.  Every other line -- headers, comments, mapping
+lines, identity paths with more ids such as [1 ; a], and every
+malformed line -- goes to the token parser, which produces every
+ParseError.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .category import Equation, Generator, Path, PathCategory
@@ -216,46 +224,116 @@ def _nonblank_lines(text: str):
             yield _LineParser(tokens, lineno)
 
 
+def _declaration(lp: _LineParser) -> TypeDecl | AspectDecl | FactDecl:
+    """The token parser's reading of one olog declaration line."""
+    keyword = lp.word("'type', 'aspect', or 'fact'")
+    if keyword == "type":
+        name = lp.word("type identifier")
+        lp.punct("=")
+        noun = lp.string("noun phrase")
+        auth = lp.authors()
+        lp.end()
+        return TypeDecl(name, noun, auth)
+    if keyword == "aspect":
+        name = lp.word("aspect identifier")
+        lp.punct(":")
+        source = lp.word("source type")
+        lp.arrow()
+        target = lp.word("target type")
+        lp.punct("=")
+        verb = lp.string("verb phrase")
+        auth = lp.authors()
+        lp.end()
+        return AspectDecl(name, source, target, verb, auth)
+    if keyword == "fact":
+        name = lp.word("fact identifier")
+        lp.punct(":")
+        left = lp.path_ids()
+        lp.punct("~")
+        right = lp.path_ids()
+        auth = lp.authors()
+        lp.end()
+        return FactDecl(name, left, right, auth)
+    lp.pos = 0
+    lp.fail("'type', 'aspect', or 'fact'")
+
+
+# One pattern per olog declaration kind, following _tokenize_line token by
+# token: a word is a maximal run of characters that are not whitespace,
+# punctuation, '"' or '#', and not the start of "->"; a string may hold \"
+# and \\ escapes; '#' outside a string starts a comment.
+_WORD = r'(?:[^\s{}\[\],;:=~"#-]|-(?!>))+'
+_STRING = r'"([^"\\]*(?:\\(?:["\\]|(?!["\\]))[^"\\]*)*)"'
+_AUTHORS = rf"by\s*\{{\s*((?:{_WORD}(?:\s*,\s*{_WORD})*)?)\s*\}}\s*(?:#.*)?"
+# A path that starts [1 ; is left to the token parser, which rejects it.
+_PATH = rf"\[\s*(?!1\s*;)({_WORD}(?:\s*;\s*{_WORD})*)\s*\]"
+_TYPE_LINE = re.compile(
+    rf"\s*type\s+({_WORD})\s*=\s*{_STRING}\s*{_AUTHORS}", re.S)
+_ASPECT_LINE = re.compile(
+    rf"\s*aspect\s+({_WORD})\s*:\s*({_WORD})\s*->\s*({_WORD})\s*=\s*"
+    rf"{_STRING}\s*{_AUTHORS}", re.S)
+_FACT_LINE = re.compile(
+    rf"\s*fact\s+({_WORD})\s*:\s*{_PATH}\s*~\s*{_PATH}\s*{_AUTHORS}", re.S)
+_SEPARATED = re.compile(r"\s*[,;]\s*")
+_ESCAPE = re.compile(r'\\(["\\])')
+
+
+def _ids(text: str) -> tuple[str, ...]:
+    return tuple(_SEPARATED.split(text)) if text else ()
+
+
+def _path(text: str) -> tuple[str, ...] | None:
+    ids = _ids(text)
+    return None if ids == ("1",) else ids
+
+
+def _unquote(body: str) -> str:
+    return _ESCAPE.sub(r"\1", body) if "\\" in body else body
+
+
+def _match_declaration(raw: str) -> TypeDecl | AspectDecl | FactDecl | None:
+    """The declaration on a well-formed olog line, or None for any other line.
+
+    Where it returns a declaration, _declaration gives an equal one.
+    """
+    m = _TYPE_LINE.fullmatch(raw)
+    if m:
+        name, noun, auth = m.groups()
+        return TypeDecl(name, _unquote(noun), _ids(auth))
+    m = _ASPECT_LINE.fullmatch(raw)
+    if m:
+        name, source, target, verb, auth = m.groups()
+        return AspectDecl(name, source, target, _unquote(verb), _ids(auth))
+    m = _FACT_LINE.fullmatch(raw)
+    if m:
+        name, left, right, auth = m.groups()
+        return FactDecl(name, _path(left), _path(right), _ids(auth))
+    return None
+
+
 def parse_olog(text: str) -> OlogDocument:
-    lines = list(_nonblank_lines(text))
+    # Every line is matched or tokenized before any is parsed, so an
+    # unterminated string is reported before a grammar error on an
+    # earlier line.  The header line is always tokenized.
+    lines = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        decl = _match_declaration(raw) if lines else None
+        if decl is not None:
+            lines.append(decl)
+            continue
+        tokens = _tokenize_line(raw, lineno)
+        if tokens:
+            lines.append(_LineParser(tokens, lineno))
     if not lines:
         raise ParseError(1, 1, "expected 'olog \"<name>\"'")
     head = lines[0]
     head.take("WORD", "olog", "'olog'")
     doc = OlogDocument(head.string("olog name"))
     head.end()
-    for lp in lines[1:]:
-        keyword = lp.word("'type', 'aspect', or 'fact'")
-        if keyword == "type":
-            name = lp.word("type identifier")
-            lp.punct("=")
-            noun = lp.string("noun phrase")
-            auth = lp.authors()
-            lp.end()
-            doc.types.append(TypeDecl(name, noun, auth))
-        elif keyword == "aspect":
-            name = lp.word("aspect identifier")
-            lp.punct(":")
-            source = lp.word("source type")
-            lp.arrow()
-            target = lp.word("target type")
-            lp.punct("=")
-            verb = lp.string("verb phrase")
-            auth = lp.authors()
-            lp.end()
-            doc.aspects.append(AspectDecl(name, source, target, verb, auth))
-        elif keyword == "fact":
-            name = lp.word("fact identifier")
-            lp.punct(":")
-            left = lp.path_ids()
-            lp.punct("~")
-            right = lp.path_ids()
-            auth = lp.authors()
-            lp.end()
-            doc.facts.append(FactDecl(name, left, right, auth))
-        else:
-            lp.pos = 0
-            lp.fail("'type', 'aspect', or 'fact'")
+    kinds = {TypeDecl: doc.types, AspectDecl: doc.aspects, FactDecl: doc.facts}
+    for line in lines[1:]:
+        decl = _declaration(line) if isinstance(line, _LineParser) else line
+        kinds[type(decl)].append(decl)
     return doc
 
 
@@ -405,12 +483,15 @@ def parse_mapping(text: str) -> MappingDocument:
     head.take("WORD", "mapping", "'mapping'")
     doc = MappingDocument(head.string("mapping name"))
     head.end()
+    refs = set()
     for lp in lines[1:]:
         keyword = lp.word("a mapping declaration")
-        if keyword == "source":
-            doc.source_ref = lp.string("olog file path")
-        elif keyword == "target":
-            doc.target_ref = lp.string("olog file path")
+        if keyword in ("source", "target"):
+            ref = lp.string("olog file path")
+            if keyword in refs:
+                raise DuplicateId(f"{keyword} declared twice")
+            refs.add(keyword)
+            setattr(doc, f"{keyword}_ref", ref)
         elif keyword == "object":
             src = lp.word("object identifier")
             lp.arrow()
@@ -442,7 +523,10 @@ def parse_mapping(text: str) -> MappingDocument:
         elif keyword == "table":
             obj = lp.word("object identifier")
             lp.punct("=")
-            doc.tables[obj] = lp.string("csv file path")
+            csv = lp.string("csv file path")
+            if obj in doc.tables:
+                raise DuplicateId(f"table at {obj!r} declared twice")
+            doc.tables[obj] = csv
         else:
             lp.pos = 0
             lp.fail("'source', 'target', 'object', 'aspect', 'component', "

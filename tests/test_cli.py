@@ -442,3 +442,17 @@ def test_usage_error_exits_two(capsys):
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
     capsys.readouterr()
+
+
+def test_repeated_table_line_is_a_usage_error(fixtures, tmp_path, capsys):
+    for name in ("human.olog", "person1.olog"):
+        shutil.copy(fixtures / name, tmp_path)
+    text = (fixtures / "merge_is.map").read_text(encoding="utf-8")
+    table = next(line for line in text.splitlines()
+                 if line.startswith("table "))
+    map_file = tmp_path / "merge_is.map"
+    map_file.write_text(text + table + "\n", encoding="utf-8")
+    code, out, err = run(capsys, "check-mapping", map_file)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: table at ") and "declared twice" in err

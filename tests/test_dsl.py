@@ -197,3 +197,47 @@ def test_mapping_identity_aspect_image(fixtures):
 def test_mapping_unknown_keyword():
     with pytest.raises(ParseError):
         parse_mapping('mapping "m"\nfrobnicate x\n')
+
+
+class TestParseErrorsAndEdges:
+    def test_unterminated_string_beats_earlier_grammar_error(self):
+        text = ('olog "o"\n'
+                'type a "an ant" by {A}\n'
+                'type b = "oops\n')
+        with pytest.raises(ParseError) as exc:
+            parse_olog(text)
+        assert str(exc.value) == "line 3, column 10: unterminated string"
+
+    def test_declaration_before_the_header(self):
+        with pytest.raises(ParseError) as exc:
+            parse_olog('type a = "an ant" by {A}\nolog "o"\n')
+        assert str(exc.value) == (
+            "line 1, column 1: expected 'olog', got 'type'")
+
+    def test_identity_followed_by_more_ids(self):
+        with pytest.raises(ParseError) as exc:
+            parse_olog('olog "o"\nfact f : [1 ; g] ~ [g] by {}\n')
+        assert str(exc.value) == "line 2, column 13: expected ']', got ';'"
+
+    def test_one_after_other_ids_is_an_identifier(self):
+        doc = parse_olog('olog "o"\nfact f : [g ; 1] ~ [g] by {}\n')
+        assert doc.facts[0].left == ("g", "1")
+
+    def test_hash_inside_noun_kept_trailing_comment_dropped(self):
+        doc = parse_olog('olog "o"\n'
+                         'type a = "a #1 ant" by {A}  # a comment\n')
+        assert doc.types[0].noun == "a #1 ant"
+        assert doc.types[0].authors == ("A",)
+
+
+@pytest.mark.parametrize("line", [
+    'source "b.olog"', 'target "b.olog"', 'table a = "y.csv"',
+])
+def test_mapping_repeated_reference_rejected(line):
+    text = ('mapping "m"\n'
+            'source "a.olog"\n'
+            'target "a.olog"\n'
+            'table a = "x.csv"\n'
+            f'{line}\n')
+    with pytest.raises(DuplicateId):
+        parse_mapping(text)
