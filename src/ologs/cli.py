@@ -7,6 +7,7 @@ Diagnostics go to stderr; reports to stdout (as JSON with --json).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path as FsPath
@@ -87,7 +88,6 @@ def cmd_validate(args) -> int:
 
 def cmd_read(args) -> int:
     olog = load_olog(args.olog_file)
-    report = ValidationReport()
     lines = []
     for g in olog.category.generators:
         lines.append(("sentence", read_sentence(generator_sentence(olog, g.name))))
@@ -99,9 +99,10 @@ def cmd_read(args) -> int:
                           read_sentence(derived_sentence(olog, eq.right))))
             lines.append(("fact", read_fact(olog, eq.name)))
     if args.json:
-        for code, message in lines:
-            report.add(code, message)
-        print(json.dumps(report.to_json()))
+        # Readings are not findings: the report is ok.
+        findings = [{"code": code, "message": message}
+                    for code, message in lines]
+        print(json.dumps({"ok": True, "findings": findings}))
     else:
         for _, message in lines:
             print(message)
@@ -223,7 +224,10 @@ def cmd_search_conforming(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `olog` argument parser, built once per process: parse_args keeps
+    no state between calls, and building it costs more than most commands."""
     parser = argparse.ArgumentParser(
         prog="olog", description="Validate, read, and map ologs."
     )

@@ -7,6 +7,7 @@ import shutil
 
 import pytest
 
+from ologs import cli
 from ologs.cli import main
 
 
@@ -456,3 +457,51 @@ def test_repeated_table_line_is_a_usage_error(fixtures, tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error: table at ") and "declared twice" in err
+
+
+def test_read_json_reports_ok_with_every_reading(fixtures, capsys):
+    olog = fixtures / "amino.olog"
+    code, out, err = run(capsys, "read", olog, "--facts", "--json")
+    _, plain, _ = run(capsys, "read", olog, "--facts")
+    payload = json.loads(out)
+    assert code == 0 and err == ""
+    assert payload["ok"] is True
+    assert [f["message"] for f in payload["findings"]] == plain.splitlines()
+    assert [f["code"] for f in payload["findings"]][-1] == "fact"
+
+
+def test_one_parser_answers_as_a_fresh_one(fixtures, tmp_path, capsys):
+    """The parser is built once per process; reusing it across usage
+    errors, help and failing commands changes no call's output."""
+    broken = tmp_path / "bush"
+    shutil.copytree(fixtures / "data" / "bush", broken)
+    has = broken / "has.csv"
+    rows = has.read_text(encoding="utf-8").splitlines()
+    has.write_text("\n".join(rows[:-1]) + "\n", encoding="utf-8")
+    father, bush = fixtures / "father.olog", fixtures / "data" / "bush"
+    calls = [
+        [],
+        ["--help"],
+        ["validate", fixtures / "parents.olog"],
+        ["no-such-command"],
+        ["check-instance", father, broken],
+        ["read", "--help"],
+        ["check-instance", father, bush, "--json"],
+        ["check-mapping", fixtures / "weight_F.map", "--bound", "x"],
+        ["read", fixtures / "amino.olog", "--facts"],
+        ["search-conforming", fixtures / "merge_father.map",
+         "--src-data", fixtures / "data" / "human",
+         "--dst-data", fixtures / "data" / "person"],
+        ["check-instance", father, broken, "--json"],
+        ["validate"],
+    ]
+    cli.build_parser.cache_clear()
+    reused = [run(capsys, *argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, _, _ in reused] == [2, 0, 0, 2, 1, 0, 0, 2, 0, 0,
+                                               1, 2]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(capsys, *argv))
+    assert reused == fresh
