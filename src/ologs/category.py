@@ -69,15 +69,19 @@ class PathCategory:
     objects: tuple[str, ...]
     generators: tuple[Generator, ...]
     equations: tuple[Equation, ...] = ()
-    _gen_index: dict[str, Generator] = field(init=False, repr=False)
-    _object_set: frozenset[str] = field(init=False, repr=False)
-    _eq_index: dict[str, Equation] = field(init=False, repr=False)
+    # Indexes derived from the presentation; equality ignores them.
+    _gen_index: dict[str, Generator] = field(
+        init=False, repr=False, compare=False)
+    _object_set: frozenset[str] = field(init=False, repr=False, compare=False)
+    _eq_index: dict[str, Equation] = field(
+        init=False, repr=False, compare=False)
     # Equation sides in both directions, as (from, to) arrow runs keyed
     # by the first arrow of `from`; when `from` is an identity, only `to`,
     # keyed by its object.
     _rules_by_arrow: dict[str, list[tuple[Arrows, Arrows]]] = field(
-        init=False, repr=False)
-    _rules_by_object: dict[str, list[Arrows]] = field(init=False, repr=False)
+        init=False, repr=False, compare=False)
+    _rules_by_object: dict[str, list[Arrows]] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._object_set = frozenset(self.objects)
@@ -99,10 +103,8 @@ class PathCategory:
         self._rules_by_arrow = {}
         self._rules_by_object = {}
         for e in self.equations:
-            self.check_path(e.left)
-            self.check_path(e.right)
-            if (e.left.source != e.right.source
-                    or self.target_of(e.left) != self.target_of(e.right)):
+            if (self.target_of(e.left) != self.target_of(e.right)
+                    or e.left.source != e.right.source):
                 raise ShapeMismatch(
                     f"equation {e.name!r}: sides do not share endpoints"
                 )
@@ -113,13 +115,6 @@ class PathCategory:
                 else:
                     self._rules_by_object.setdefault(frm.source, []).append(
                         to.arrows)
-
-    def __eq__(self, other):
-        if not isinstance(other, PathCategory):
-            return NotImplemented
-        return (self.objects == other.objects
-                and self.generators == other.generators
-                and self.equations == other.equations)
 
     def generator(self, name: str) -> Generator:
         try:
@@ -133,20 +128,29 @@ class PathCategory:
         except KeyError:
             raise UnknownEquation(name) from None
 
-    def check_path(self, p: Path) -> None:
-        """Raise InvalidPath unless p is a composable run rooted in this category."""
+    def objects_along(self, p: Path) -> list[str]:
+        """Object sequence visited by p, of length len(p) + 1.
+
+        Raises InvalidPath unless p is a composable run rooted in this
+        category.
+        """
         if p.source not in self._object_set:
             raise InvalidPath(f"unknown source object {p.source!r}")
-        at = p.source
+        objs = [p.source]
         for name in p.arrows:
             g = self._gen_index.get(name)
             if g is None:
                 raise InvalidPath(f"unknown generator {name!r}")
-            if g.source != at:
+            if g.source != objs[-1]:
                 raise InvalidPath(
-                    f"generator {name!r} does not compose at object {at!r}"
+                    f"generator {name!r} does not compose at object {objs[-1]!r}"
                 )
-            at = g.target
+            objs.append(g.target)
+        return objs
+
+    def check_path(self, p: Path) -> None:
+        """Raise InvalidPath unless p is a composable run rooted in this category."""
+        self.objects_along(p)
 
     def path(self, source: str, arrows=()) -> Path:
         p = Path(source, tuple(arrows))
@@ -154,17 +158,7 @@ class PathCategory:
         return p
 
     def target_of(self, p: Path) -> str:
-        at = p.source
-        for name in p.arrows:
-            at = self.generator(name).target
-        return at
-
-    def objects_along(self, p: Path) -> list[str]:
-        """Object sequence visited by p, of length len(p) + 1."""
-        objs = [p.source]
-        for name in p.arrows:
-            objs.append(self.generator(name).target)
-        return objs
+        return self.objects_along(p)[-1]
 
     def compose(self, p: Path, q: Path) -> Path:
         if self.target_of(p) != q.source:
@@ -212,9 +206,7 @@ class PathCategory:
         True means provably equal; False only means not proved within
         the bound.
         """
-        self.check_path(p)
-        self.check_path(q)
-        if p.source != q.source or self.target_of(p) != self.target_of(q):
+        if self.target_of(p) != self.target_of(q) or p.source != q.source:
             raise ShapeMismatch("paths do not share endpoints")
         if p == q:
             return True
@@ -307,17 +299,17 @@ def validate_functor(f: CatFunctor, bound: int = DEFAULT_BOUND) -> ValidationRep
                        f"generator {g.name!r} has no image")
             continue
         try:
-            dst.check_path(image)
+            end = dst.target_of(image)
         except InvalidPath as exc:
             report.add("bad-generator-image", f"generator {g.name!r}: {exc}")
             continue
         want_src = f.object_map.get(g.source)
         want_tgt = f.object_map.get(g.target)
-        if image.source != want_src or dst.target_of(image) != want_tgt:
+        if image.source != want_src or end != want_tgt:
             report.add(
                 "endpoint-violation",
                 f"image of generator {g.name!r} runs "
-                f"{image.source!r} -> {dst.target_of(image)!r}, "
+                f"{image.source!r} -> {end!r}, "
                 f"expected {want_src!r} -> {want_tgt!r}",
             )
     if not report.ok:

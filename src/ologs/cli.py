@@ -49,11 +49,8 @@ from .report import ValidationReport
 def _emit(report: ValidationReport, as_json: bool) -> int:
     if as_json:
         print(json.dumps(report.to_json()))
-    else:
-        for finding in report.findings:
-            print(f"{finding.code}: {finding.message}", file=sys.stderr)
-        for finding in report.warnings:
-            print(f"warning {finding.code}: {finding.message}", file=sys.stderr)
+    elif report.findings or report.warnings:
+        print(report, file=sys.stderr)
     return 0 if report.ok else 1
 
 

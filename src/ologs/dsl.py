@@ -21,7 +21,14 @@ An identity path is written [1].  Mapping grammar:
 Serialization is canonical: declarations sorted by kind then id, author
 lists sorted, LF line endings, trailing newline.
 
-A well-formed type, aspect or fact line of an olog after its header is
+One lexical grammar serves both readers: a word is a maximal run of
+characters that are not whitespace, punctuation, '"' or '#', and not
+the start of "->"; a string may hold \\" and \\\\ escapes; '#' outside a
+string starts a comment.  The tokenizer and the line patterns are
+built from the same regex pieces for these rules.
+
+Every line is matched or tokenized before any is parsed.  A
+well-formed type, aspect or fact line of an olog after its header is
 read by one compiled pattern per kind, which builds the declaration
 from its groups.  Every other line -- headers, comments, mapping
 lines, identity paths with more ids such as [1 ; a], and every
@@ -45,59 +52,38 @@ from .errors import (
 from .language import AtomicVerb, NounPhrase, UNIT, read_verb
 from .olog import AspectLabel, LinguisticStructure, Olog, TypeLabel
 
-PUNCT = set("{}[],;:=~")
+_WORD = r'(?:[^\s{}\[\],;:=~"#-]|-(?!>))+'
+_STRING = r'"([^"\\]*(?:\\(?:["\\]|(?!["\\]))[^"\\]*)*)"'
+_COMMENT = r"#.*"
+_ESCAPE = re.compile(r'\\(["\\])')
+# Every character starts some alternative, so the matches cover the
+# line; a '"' that opens no whole string is unterminated.
+_TOKEN = re.compile(
+    rf"(?P<ARROW>->)|(?P<PUNCT>[{{}}\[\],;:=~])|(?P<STRING>{_STRING})"
+    rf"|(?P<WORD>{_WORD})|(?P<UNTERMINATED>\")|\s+|{_COMMENT}", re.S)
+
+
+def _unquote(body: str) -> str:
+    return _ESCAPE.sub(r"\1", body) if "\\" in body else body
 
 
 @dataclass(frozen=True)
 class Token:
     kind: str  # WORD | STRING | PUNCT | ARROW
     value: str
-    line: int
     column: int
+    end: int  # the column just past the token
 
 
 def _tokenize_line(text: str, lineno: int) -> list[Token]:
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "#":
-            break
-        if ch.isspace():
-            i += 1
-            continue
-        col = i + 1
-        if text.startswith("->", i):
-            tokens.append(Token("ARROW", "->", lineno, col))
-            i += 2
-            continue
-        if ch in PUNCT:
-            tokens.append(Token("PUNCT", ch, lineno, col))
-            i += 1
-            continue
-        if ch == '"':
-            out = []
-            i += 1
-            while i < n and text[i] != '"':
-                if text[i] == "\\" and i + 1 < n and text[i + 1] in '"\\':
-                    out.append(text[i + 1])
-                    i += 2
-                else:
-                    out.append(text[i])
-                    i += 1
-            if i >= n:
-                raise ParseError(lineno, col, "unterminated string")
-            i += 1
-            tokens.append(Token("STRING", "".join(out), lineno, col))
-            continue
-        j = i
-        while (j < n and not text[j].isspace() and text[j] not in PUNCT
-               and text[j] != '"' and not text.startswith("->", j)
-               and text[j] != "#"):
-            j += 1
-        tokens.append(Token("WORD", text[i:j], lineno, col))
-        i = j
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "UNTERMINATED":
+            raise ParseError(lineno, m.start() + 1, "unterminated string")
+        if kind:
+            value = _unquote(m[0][1:-1]) if kind == "STRING" else m[0]
+            tokens.append(Token(kind, value, m.start() + 1, m.end() + 1))
     return tokens
 
 
@@ -107,20 +93,14 @@ class _LineParser:
         self.lineno = lineno
         self.pos = 0
 
-    def _here(self) -> tuple[int, int]:
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            return tok.line, tok.column
-        if self.tokens:
-            last = self.tokens[-1]
-            return last.line, last.column + len(last.value)
-        return self.lineno, 1
-
     def fail(self, expected: str):
-        line, col = self._here()
-        got = (f"{self.tokens[self.pos].value!r}"
-               if self.pos < len(self.tokens) else "end of line")
-        raise ParseError(line, col, f"expected {expected}, got {got}")
+        tok = self.peek()
+        if tok:
+            column, got = tok.column, repr(tok.value)
+        else:
+            column = self.tokens[-1].end if self.tokens else 1
+            got = "end of line"
+        raise ParseError(self.lineno, column, f"expected {expected}, got {got}")
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -144,21 +124,22 @@ class _LineParser:
     def arrow(self) -> None:
         self.take("ARROW", expected="'->'")
 
+    def skip(self, value: str) -> bool:
+        """Consume the punctuation `value` if it comes next."""
+        tok = self.peek()
+        if tok and tok.kind == "PUNCT" and tok.value == value:
+            self.pos += 1
+            return True
+        return False
+
     def authors(self) -> tuple[str, ...]:
         self.take("WORD", "by", "'by'")
         self.punct("{")
-        names = []
-        tok = self.peek()
-        if tok and tok.kind == "PUNCT" and tok.value == "}":
-            self.punct("}")
+        if self.skip("}"):
             return ()
-        while True:
+        names = [self.word("author identifier")]
+        while self.skip(","):
             names.append(self.word("author identifier"))
-            tok = self.peek()
-            if tok and tok.kind == "PUNCT" and tok.value == ",":
-                self.punct(",")
-                continue
-            break
         self.punct("}")
         return tuple(names)
 
@@ -170,13 +151,8 @@ class _LineParser:
             self.punct("]")
             return None
         ids = [first]
-        while True:
-            tok = self.peek()
-            if tok and tok.kind == "PUNCT" and tok.value == ";":
-                self.punct(";")
-                ids.append(self.word("aspect identifier"))
-                continue
-            break
+        while self.skip(";"):
+            ids.append(self.word("aspect identifier"))
         self.punct("]")
         return tuple(ids)
 
@@ -217,11 +193,32 @@ class OlogDocument:
     facts: list[FactDecl] = field(default_factory=list)
 
 
-def _nonblank_lines(text: str):
+def _nonblank_lines(text: str, match=None) -> list:
+    """Every nonblank line, matched or tokenized before any is parsed, so
+    an unterminated string is reported before a grammar error on an
+    earlier line.  A line after the header that `match` reads becomes its
+    value; every other line becomes a _LineParser."""
+    lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        value = match(raw) if match and lines else None
+        if value is not None:
+            lines.append(value)
+            continue
         tokens = _tokenize_line(raw, lineno)
         if tokens:
-            yield _LineParser(tokens, lineno)
+            lines.append(_LineParser(tokens, lineno))
+    return lines
+
+
+def _header(lines: list, keyword: str) -> str:
+    """The name on the header line `<keyword> "<name>"`."""
+    if not lines:
+        raise ParseError(1, 1, f"expected '{keyword} \"<name>\"'")
+    head = lines[0]
+    head.take("WORD", keyword, f"'{keyword}'")
+    name = head.string(f"{keyword} name")
+    head.end()
+    return name
 
 
 def _declaration(lp: _LineParser) -> TypeDecl | AspectDecl | FactDecl:
@@ -258,13 +255,9 @@ def _declaration(lp: _LineParser) -> TypeDecl | AspectDecl | FactDecl:
     lp.fail("'type', 'aspect', or 'fact'")
 
 
-# One pattern per olog declaration kind, following _tokenize_line token by
-# token: a word is a maximal run of characters that are not whitespace,
-# punctuation, '"' or '#', and not the start of "->"; a string may hold \"
-# and \\ escapes; '#' outside a string starts a comment.
-_WORD = r'(?:[^\s{}\[\],;:=~"#-]|-(?!>))+'
-_STRING = r'"([^"\\]*(?:\\(?:["\\]|(?!["\\]))[^"\\]*)*)"'
-_AUTHORS = rf"by\s*\{{\s*((?:{_WORD}(?:\s*,\s*{_WORD})*)?)\s*\}}\s*(?:#.*)?"
+# One pattern per olog declaration kind, built from the tokenizer's pieces.
+_AUTHORS = (rf"by\s*\{{\s*((?:{_WORD}(?:\s*,\s*{_WORD})*)?)\s*\}}"
+            rf"\s*(?:{_COMMENT})?")
 # A path that starts [1 ; is left to the token parser, which rejects it.
 _PATH = rf"\[\s*(?!1\s*;)({_WORD}(?:\s*;\s*{_WORD})*)\s*\]"
 _TYPE_LINE = re.compile(
@@ -275,7 +268,6 @@ _ASPECT_LINE = re.compile(
 _FACT_LINE = re.compile(
     rf"\s*fact\s+({_WORD})\s*:\s*{_PATH}\s*~\s*{_PATH}\s*{_AUTHORS}", re.S)
 _SEPARATED = re.compile(r"\s*[,;]\s*")
-_ESCAPE = re.compile(r'\\(["\\])')
 
 
 def _ids(text: str) -> tuple[str, ...]:
@@ -285,10 +277,6 @@ def _ids(text: str) -> tuple[str, ...]:
 def _path(text: str) -> tuple[str, ...] | None:
     ids = _ids(text)
     return None if ids == ("1",) else ids
-
-
-def _unquote(body: str) -> str:
-    return _ESCAPE.sub(r"\1", body) if "\\" in body else body
 
 
 def _match_declaration(raw: str) -> TypeDecl | AspectDecl | FactDecl | None:
@@ -312,24 +300,8 @@ def _match_declaration(raw: str) -> TypeDecl | AspectDecl | FactDecl | None:
 
 
 def parse_olog(text: str) -> OlogDocument:
-    # Every line is matched or tokenized before any is parsed, so an
-    # unterminated string is reported before a grammar error on an
-    # earlier line.  The header line is always tokenized.
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        decl = _match_declaration(raw) if lines else None
-        if decl is not None:
-            lines.append(decl)
-            continue
-        tokens = _tokenize_line(raw, lineno)
-        if tokens:
-            lines.append(_LineParser(tokens, lineno))
-    if not lines:
-        raise ParseError(1, 1, "expected 'olog \"<name>\"'")
-    head = lines[0]
-    head.take("WORD", "olog", "'olog'")
-    doc = OlogDocument(head.string("olog name"))
-    head.end()
+    lines = _nonblank_lines(text, match=_match_declaration)
+    doc = OlogDocument(_header(lines, "olog"))
     kinds = {TypeDecl: doc.types, AspectDecl: doc.aspects, FactDecl: doc.facts}
     for line in lines[1:]:
         decl = _declaration(line) if isinstance(line, _LineParser) else line
@@ -476,62 +448,48 @@ class MappingDocument:
 
 
 def parse_mapping(text: str) -> MappingDocument:
-    lines = list(_nonblank_lines(text))
-    if not lines:
-        raise ParseError(1, 1, "expected 'mapping \"<name>\"'")
-    head = lines[0]
-    head.take("WORD", "mapping", "'mapping'")
-    doc = MappingDocument(head.string("mapping name"))
-    head.end()
-    refs = set()
+    lines = _nonblank_lines(text)
+    doc = MappingDocument(_header(lines, "mapping"))
+    refs = {}
     for lp in lines[1:]:
         keyword = lp.word("a mapping declaration")
         if keyword in ("source", "target"):
-            ref = lp.string("olog file path")
-            if keyword in refs:
-                raise DuplicateId(f"{keyword} declared twice")
-            refs.add(keyword)
-            setattr(doc, f"{keyword}_ref", ref)
+            table, key, what = refs, keyword, f"{keyword} declared"
+            value = lp.string("olog file path")
         elif keyword == "object":
-            src = lp.word("object identifier")
+            table, key = doc.object_map, lp.word("object identifier")
             lp.arrow()
-            dst = lp.word("object identifier")
-            if src in doc.object_map:
-                raise DuplicateId(f"object {src!r} mapped twice")
-            doc.object_map[src] = dst
+            value = lp.word("object identifier")
+            what = f"object {key!r} mapped"
         elif keyword == "aspect":
-            src = lp.word("aspect identifier")
+            table, key = doc.aspect_map, lp.word("aspect identifier")
             lp.arrow()
-            path = lp.path_ids()
-            if src in doc.aspect_map:
-                raise DuplicateId(f"aspect {src!r} mapped twice")
-            doc.aspect_map[src] = path
+            value = lp.path_ids()
+            what = f"aspect {key!r} mapped"
         elif keyword == "component":
-            obj = lp.word("object identifier")
+            table, key = doc.components, lp.word("object identifier")
             lp.punct("=")
-            verb = lp.string("verb phrase")
-            auth = lp.authors()
-            if obj in doc.components:
-                raise DuplicateId(f"component at {obj!r} declared twice")
-            doc.components[obj] = (verb, auth)
+            value = (lp.string("verb phrase"), lp.authors())
+            what = f"component at {key!r} declared"
         elif keyword == "square":
-            gen = lp.word("aspect identifier")
-            auth = lp.authors()
-            if gen in doc.squares:
-                raise DuplicateId(f"square at {gen!r} declared twice")
-            doc.squares[gen] = auth
+            table, key = doc.squares, lp.word("aspect identifier")
+            value = lp.authors()
+            what = f"square at {key!r} declared"
         elif keyword == "table":
-            obj = lp.word("object identifier")
+            table, key = doc.tables, lp.word("object identifier")
             lp.punct("=")
-            csv = lp.string("csv file path")
-            if obj in doc.tables:
-                raise DuplicateId(f"table at {obj!r} declared twice")
-            doc.tables[obj] = csv
+            value = lp.string("csv file path")
+            what = f"table at {key!r} declared"
         else:
             lp.pos = 0
             lp.fail("'source', 'target', 'object', 'aspect', 'component', "
                     "'square', or 'table'")
+        if key in table:
+            raise DuplicateId(f"{what} twice")
+        table[key] = value
         lp.end()
+    doc.source_ref = refs.get("source", "")
+    doc.target_ref = refs.get("target", "")
     return doc
 
 
@@ -572,12 +530,16 @@ def morphism_from_document(doc: MappingDocument, source: Olog, target: Olog):
     for obj in (*doc.components, *doc.tables):
         if obj not in src_objects:
             raise DanglingReference(f"unknown source object {obj!r}")
+
+    def aspect(side: str, olog: Olog, name: str):
+        try:
+            return olog.category.generator(name)
+        except UnknownGenerator:
+            raise DanglingReference(f"unknown {side} aspect {name!r}") from None
+
     generator_map = {}
     for name, ids in doc.aspect_map.items():
-        try:
-            g = source.category.generator(name)
-        except UnknownGenerator:
-            raise DanglingReference(f"unknown source aspect {name!r}") from None
+        g = aspect("source", source, name)
         if ids is None:
             image_source = doc.object_map.get(g.source)
             if image_source is None:
@@ -587,9 +549,7 @@ def morphism_from_document(doc: MappingDocument, source: Olog, target: Olog):
                 )
             generator_map[name] = Path(image_source)
         else:
-            for gen in ids:
-                target.category.generator(gen)  # raises if unknown
-            first = target.category.generator(ids[0])
+            first, *_ = [aspect("target", target, gen) for gen in ids]
             generator_map[name] = Path(first.source, tuple(ids))
     functor = CatFunctor(source.category, target.category,
                          dict(doc.object_map), generator_map)

@@ -65,15 +65,14 @@ def derived_aspect(o: Olog, p: Path) -> AspectLabel:
     intersection of the generator author sets.  An identity path yields
     the unit verb phrase endorsed by the authors of its object.
     """
-    o.category.check_path(p)
+    objs = o.category.objects_along(p)
     if p.is_identity:
         return AspectLabel(UNIT, o.type_authors(p.source))
     labels = [o.aspect(name) for name in p.arrows]
     verb: VerbPhrase = labels[0].verb
     auth = labels[0].authors
-    for name, label in zip(p.arrows[1:], labels[1:]):
-        via = o.noun(o.category.generator(name).source)
-        verb = ConcatVerb(verb, via, label.verb)
+    for via, label in zip(objs[1:], labels[1:]):
+        verb = ConcatVerb(verb, o.noun(via), label.verb)
         auth = auth & label.authors
     return AspectLabel(verb, auth)
 

@@ -311,3 +311,34 @@ class TestFunctors:
 
     def test_equation_preserved_when_target_has_it(self, chain_eq):
         assert validate_functor(identity_functor(chain_eq)).ok
+
+
+class TestOneValidatingWalk:
+    """target_of and objects_along refuse what check_path refuses."""
+
+    def test_target_of_rejects_non_composable_run(self, chain):
+        with pytest.raises(InvalidPath):
+            chain.target_of(Path("x", ("v",)))
+
+    def test_objects_along_rejects_non_composable_run(self, chain):
+        with pytest.raises(InvalidPath):
+            chain.objects_along(Path("x", ("v", "v")))
+
+    @pytest.mark.parametrize("path", [Path("q"), Path("x", ("nope",))])
+    def test_unknown_source_or_generator(self, chain, path):
+        with pytest.raises(InvalidPath):
+            chain.target_of(path)
+        with pytest.raises(InvalidPath):
+            chain.objects_along(path)
+
+    def test_identity_visits_its_object(self, chain):
+        assert chain.objects_along(Path("y")) == ["y"]
+        assert chain.target_of(Path("y")) == "y"
+
+
+def test_equality_reads_only_the_presentation():
+    eq = Equation("e", Path("x", ("u", "v")), Path("x", ("w",)))
+    assert chain_category() == chain_category()
+    assert chain_category([eq]) == chain_category([eq])
+    assert chain_category() != chain_category([eq])
+    assert chain_category() != "chain"

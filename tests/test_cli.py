@@ -9,6 +9,7 @@ import pytest
 
 from ologs import cli
 from ologs.cli import main
+from ologs.report import ValidationReport
 
 
 def run(capsys, *argv):
@@ -505,3 +506,58 @@ def test_one_parser_answers_as_a_fresh_one(fixtures, tmp_path, capsys):
         cli.build_parser.cache_clear()
         fresh.append(run(capsys, *argv))
     assert reused == fresh
+
+
+def test_unknown_target_aspect_is_named(fixtures, tmp_path, capsys):
+    for name in ("child.olog", "marriage.olog"):
+        shutil.copy(fixtures / name, tmp_path)
+    text = (fixtures / "marriage.map").read_text(encoding="utf-8")
+    map_file = tmp_path / "marriage.map"
+    map_file.write_text(text.replace("[inc_m]", "[inc_zz]"), encoding="utf-8")
+    code, out, err = run(capsys, "check-mapping", map_file)
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown target aspect 'inc_zz'\n"
+
+
+def rewrite_correspondence(base, obj, edit):
+    """Apply `edit` to the rows of the self-merge's table at `obj`."""
+    table = base / f"{obj}_corr.csv"
+    rows = table.read_text(encoding="utf-8").splitlines()
+    table.write_text("".join(row + "\n" for row in edit(rows)),
+                     encoding="utf-8")
+
+
+def test_two_partners_for_one_token(fixtures, tmp_path, capsys):
+    data = write_self_merge(fixtures, tmp_path)
+    rewrite_correspondence(tmp_path, "person", lambda rows: rows + [
+        f"{rows[1].split(',')[0]},{rows[2].split(',')[1]}"])
+    code, out, err = run(capsys, "check-mapping", tmp_path / "self.map", *data)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(
+        "ambiguous-correspondence: table at 'person' declares two partners "
+        "for ")
+
+
+def test_correspondence_header_breaks_the_convention(fixtures, tmp_path,
+                                                     capsys):
+    data = write_self_merge(fixtures, tmp_path)
+    rewrite_correspondence(tmp_path, "father", lambda rows: [
+        rows[0].replace("namely", "that is")] + rows[1:])
+    for command in ("check-mapping", "search-conforming"):
+        code, out, err = run(capsys, command, tmp_path / "self.map", *data)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: father_corr.csv: header ")
+        assert "does not match the component convention" in err
+
+
+def test_emit_prints_the_report_text(capsys):
+    report = ValidationReport()
+    assert cli._emit(report, False) == 0
+    assert capsys.readouterr().err == ""
+    report.warn("w", "a warning")
+    report.add("f", "a finding")
+    assert cli._emit(report, False) == 1
+    assert capsys.readouterr().err == "f: a finding\nwarning w: a warning\n"

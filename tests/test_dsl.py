@@ -241,3 +241,40 @@ def test_mapping_repeated_reference_rejected(line):
             f'{line}\n')
     with pytest.raises(DuplicateId):
         parse_mapping(text)
+
+
+@pytest.mark.parametrize("line, column", [
+    ('type a = "an a"', 16),
+    ('type a = "an \\"a\\" thing"', 26),
+    ('type a = "an a" by {A', 22),
+])
+def test_end_of_line_error_points_past_the_last_token(line, column):
+    with pytest.raises(ParseError) as exc:
+        parse_olog(f'olog "o"\n{line}\n')
+    assert exc.value.line == 2
+    assert exc.value.column == column
+    assert str(exc.value).endswith("got end of line")
+
+
+@pytest.mark.parametrize("line, message", [
+    ('source "b.olog"', "source declared twice"),
+    ('target "b.olog"', "target declared twice"),
+    ("object a -> c", "object 'a' mapped twice"),
+    ("aspect f -> [1]", "aspect 'f' mapped twice"),
+    ('component a = "is" by {}', "component at 'a' declared twice"),
+    ("square f by {}", "square at 'f' declared twice"),
+    ('table a = "y.csv"', "table at 'a' declared twice"),
+])
+def test_mapping_repeated_declaration_message(line, message):
+    text = ('mapping "m"\n'
+            'source "a.olog"\n'
+            'target "a.olog"\n'
+            "object a -> b\n"
+            "aspect f -> [g]\n"
+            'component a = "is" by {S}\n'
+            "square f by {S}\n"
+            'table a = "x.csv"\n'
+            f"{line} extra\n")
+    with pytest.raises(DuplicateId) as exc:
+        parse_mapping(text)
+    assert str(exc.value) == message

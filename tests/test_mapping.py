@@ -4,7 +4,14 @@ import time
 
 import pytest
 
-from ologs.category import CatFunctor, Generator, Path, PathCategory, identity_functor
+from ologs.category import (
+    CatFunctor,
+    Generator,
+    Path,
+    PathCategory,
+    identity_functor,
+    validate_functor,
+)
 from ologs.dsl import (
     load_olog,
     morphism_from_document,
@@ -12,7 +19,7 @@ from ologs.dsl import (
     parse_mapping,
     parse_olog,
 )
-from ologs.errors import InvalidFunctor, SearchSpaceTooLarge
+from ologs.errors import DanglingReference, InvalidFunctor, SearchSpaceTooLarge
 from ologs.instance import Instance, load_bundle, read_table_file
 from ologs.language import AtomicVerb, UNIT, authors, read_verb
 from ologs.mapping import (
@@ -409,3 +416,30 @@ class TestCoInstantiated:
         empty_i = Instance(m.source, {"a": ()}, {})
         empty_j = Instance(m.target, {}, {})
         assert check_co_instantiated(m, {}, {}, empty_i, empty_j).ok
+
+
+def father_self_map(fixtures, person_image, father_image):
+    """father.olog into itself, with `has` sent to an identity."""
+    doc = parse_mapping('mapping "m"\n'
+                        f"object person -> {person_image}\n"
+                        f"object father -> {father_image}\n"
+                        "aspect has -> [1]\n")
+    olog = load_olog(fixtures / "father.olog")
+    return morphism_from_document(doc, olog, olog)
+
+
+class TestIdentityImage:
+    def test_passes_when_both_ends_meet(self, fixtures):
+        m = father_self_map(fixtures, "person", "person")
+        assert m.functor.generator_map["has"] == Path("person")
+        assert validate_functor(m.functor).ok
+
+    def test_endpoint_violation_otherwise(self, fixtures):
+        m = father_self_map(fixtures, "person", "father")
+        report = validate_functor(m.functor)
+        assert [f.code for f in report.findings] == ["endpoint-violation"]
+
+    def test_unknown_target_object(self, fixtures):
+        with pytest.raises(DanglingReference,
+                           match="unknown target object 'nobody'"):
+            father_self_map(fixtures, "person", "nobody")
