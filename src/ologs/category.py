@@ -1,17 +1,24 @@
 """Finitely presented categories: paths, path equality, functors.
 
 A category is given by objects, generator arrows, and declared equations
-between parallel paths.  Equality of paths is decided by a bounded
-breadth-first search from one path that applies each declared equation
-in either direction to a subpath, the bound counting rewrite steps; this
-is sound but necessarily incomplete (the word problem is undecidable in
-general), so the negative answer only means "not proved within the
-bound".
+between parallel paths.  Equality of paths is the word problem of the
+presentation, which is undecidable in general.  `decide_equal` answers
+it exactly whenever Knuth–Bendix completion of the equations (Knuth and
+Bendix, "Simple word problems in universal algebras", 1970) finishes
+within a budget scaled to the presentation: two parallel paths are
+equal if and only if their normal forms are.  Completion runs on the
+first such query and is cached.  Otherwise `decide_equal` falls back to
+`path_equal`, a breadth-first search from one path that applies each
+declared equation in either direction to a subpath, the bound counting
+rewrite steps; that search is sound but incomplete, so its negative
+answer only means "not proved within the bound".
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 from .errors import (
     DuplicateId,
@@ -26,6 +33,12 @@ from .errors import (
 from .report import ValidationReport
 
 DEFAULT_BOUND = 8
+
+# Completion budget.  Each cap scales with the presentation; past any of
+# them completion gives up, and equality falls back to `path_equal`.
+_RULES_PER_EQUATION = 4   # rules held at once
+_LHS_PER_SIDE = 2         # left-side length, in longest declared sides
+_STEPS_PER_EQUATION = 64  # equations and critical pairs examined
 
 Arrows = tuple[str, ...]
 
@@ -81,6 +94,10 @@ class PathCategory:
     _rules_by_arrow: dict[str, list[tuple[Arrows, Arrows]]] = field(
         init=False, repr=False, compare=False)
     _rules_by_object: dict[str, list[Arrows]] = field(
+        init=False, repr=False, compare=False)
+    # The completed equations: unset until the first `rewriting` call,
+    # then a RewriteSystem, or None when completion gave up.
+    _completion: RewriteSystem | None = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -198,6 +215,31 @@ class PathCategory:
             out.append(arrows + to)
         return out
 
+    def _check_parallel(self, p: Path, q: Path) -> None:
+        if self.target_of(p) != self.target_of(q) or p.source != q.source:
+            raise ShapeMismatch("paths do not share endpoints")
+
+    def rewriting(self) -> RewriteSystem | None:
+        """The equations completed to a confluent rewriting system, built
+        on the first call and kept; None when completion exceeds its
+        budget."""
+        try:
+            return self._completion
+        except AttributeError:
+            self._completion = RewriteSystem.complete(
+                self._gen_index,
+                [(e.left.arrows, e.right.arrows) for e in self.equations])
+            return self._completion
+
+    def decide_equal(self, p: Path, q: Path, bound: int = DEFAULT_BOUND) -> bool:
+        """Decide p = q: exactly, by normal forms, when the equations
+        complete within budget; otherwise by path_equal(p, q, bound)."""
+        self._check_parallel(p, q)
+        system = self.rewriting()
+        if system is None:
+            return self.path_equal(p, q, bound)
+        return system.normal_form(p.arrows) == system.normal_form(q.arrows)
+
     def path_equal(self, p: Path, q: Path, bound: int = DEFAULT_BOUND) -> bool:
         """Decide p = q by a breadth-first search from p of at most
         `bound` rewrite steps, each applying one equation in either
@@ -206,8 +248,7 @@ class PathCategory:
         True means provably equal; False only means not proved within
         the bound.
         """
-        if self.target_of(p) != self.target_of(q) or p.source != q.source:
-            raise ShapeMismatch("paths do not share endpoints")
+        self._check_parallel(p, q)
         if p == q:
             return True
         # Every rewrite keeps the source, so the search carries arrow runs.
@@ -227,6 +268,135 @@ class PathCategory:
                 return False
             frontier = nxt
         return False
+
+
+class RewriteSystem:
+    """A confluent, terminating string-rewriting system for a category's
+    equations; build one with `PathCategory.rewriting`.
+
+    Words carry one character per arrow, the generators numbered in
+    sorted name order, so comparing two words of equal length compares
+    their name sequences.  Each rule rewrites the larger side to the
+    smaller in shortlex order: the longer side to the shorter, and
+    between sides of equal length the larger name sequence to the
+    smaller.  Rewriting plain words is sound for typed paths: no rule
+    has an empty left side, and every overlap of two composable left
+    sides is itself composable.
+    """
+
+    def __init__(self, generators: Iterable[str]):
+        self._names = sorted(generators)
+        self._code = {name: chr(i) for i, name in enumerate(self._names)}
+        self._rules: dict[str, str] = {}
+        # Left sides by last letter, to match the top of the stack; by
+        # first letter, for overlaps; by every letter, to find the rules
+        # that a new rule makes reducible.
+        self._by_last: dict[str, list[tuple[str, str]]] = {}
+        self._by_first: dict[str, list[str]] = {}
+        self._by_letter: dict[str, set[str]] = {}
+
+    @classmethod
+    def complete(cls, generators: Iterable[str],
+                 equations: list[tuple[Arrows, Arrows]]) -> RewriteSystem | None:
+        """Knuth–Bendix completion of `equations`, or None past the budget.
+
+        Pairs of words are taken smallest first; a pair whose normal
+        forms differ becomes a rule, the rules whose left side it
+        reduces go back to the pairs, and its overlaps with every rule
+        become new pairs.
+        """
+        system = cls(generators)
+        longest = max((len(w) for pair in equations for w in pair), default=0)
+        max_rules = _RULES_PER_EQUATION * len(equations)
+        max_lhs = _LHS_PER_SIDE * longest
+        max_steps = _STEPS_PER_EQUATION * len(equations)
+        pairs = [_pair(system._encode(u), system._encode(v))
+                 for u, v in equations]
+        heapify(pairs)
+        steps = 0
+        while pairs:
+            steps += 1
+            if steps > max_steps:
+                return None
+            _, u, v = heappop(pairs)
+            u, v = system._reduce(u), system._reduce(v)
+            if u == v:
+                continue
+            if (len(u), u) < (len(v), v):
+                u, v = v, u
+            if len(u) > max_lhs:
+                return None
+            for lhs in [w for w in system._by_letter.get(u[0], ()) if u in w]:
+                heappush(pairs, _pair(lhs, system._remove(lhs)))
+            if len(system._rules) >= max_rules:
+                return None
+            system._add(u, v)
+            for pair in system._overlaps(u, v):
+                heappush(pairs, _pair(*pair))
+        return system
+
+    def normal_form(self, arrows: Arrows) -> Arrows:
+        """The irreducible run that `arrows` rewrites to."""
+        word = self._reduce(self._encode(arrows))
+        return tuple(self._names[ord(c)] for c in word)
+
+    def _encode(self, arrows: Arrows) -> str:
+        return "".join(map(self._code.__getitem__, arrows))
+
+    def _reduce(self, word: str) -> str:
+        """One left-to-right stack pass.  The stack never holds a left
+        side, so after each push a left side can only end at its top;
+        a match is replaced by its right side, pushed back onto the
+        input."""
+        by_last = self._by_last
+        out = ""
+        todo = list(word[::-1])
+        while todo:
+            c = todo.pop()
+            out += c
+            for lhs, rhs in by_last.get(c, ()):
+                if out.endswith(lhs):
+                    out = out[:-len(lhs)]
+                    todo.extend(rhs[::-1])
+                    break
+        return out
+
+    def _add(self, lhs: str, rhs: str) -> None:
+        self._rules[lhs] = rhs
+        self._by_last.setdefault(lhs[-1], []).append((lhs, rhs))
+        self._by_first.setdefault(lhs[0], []).append(lhs)
+        for c in set(lhs):
+            self._by_letter.setdefault(c, set()).add(lhs)
+
+    def _remove(self, lhs: str) -> str:
+        rhs = self._rules.pop(lhs)
+        self._by_last[lhs[-1]].remove((lhs, rhs))
+        self._by_first[lhs[0]].remove(lhs)
+        for c in set(lhs):
+            self._by_letter[c].discard(lhs)
+        return rhs
+
+    def _overlaps(self, lhs: str, rhs: str) -> list[tuple[str, str]]:
+        """The critical pairs of the rule lhs -> rhs with every rule,
+        itself included.  No left side contains another, so two left
+        sides can only overlap by a proper suffix of one that is a
+        proper prefix of the other."""
+        out = []
+        for i in range(1, len(lhs)):
+            head, tail = lhs[:i], lhs[i:]
+            for other in self._by_first.get(tail[0], ()):
+                if len(other) > len(tail) and other.startswith(tail):
+                    out.append((rhs + other[len(tail):],
+                                head + self._rules[other]))
+            for other, other_rhs in self._by_last.get(head[-1], ()):
+                if len(other) > i and other.endswith(head):
+                    out.append((other_rhs + tail, other[:-i] + rhs))
+        return out
+
+
+def _pair(u: str, v: str) -> tuple[int, str, str]:
+    """A heap entry: smaller pairs first, ties broken by the words."""
+    return (len(u) + len(v), u, v)
 
 
 @dataclass
@@ -315,12 +485,12 @@ def validate_functor(f: CatFunctor, bound: int = DEFAULT_BOUND) -> ValidationRep
     if not report.ok:
         return report
     for eq in src.equations:
-        left = f.apply(eq.left)
-        right = f.apply(eq.right)
-        if not dst.path_equal(left, right, bound):
-            report.add(
-                "equation-not-preserved",
-                f"image of equation {eq.name!r} not proved equal "
-                f"within bound {bound}",
-            )
+        if dst.decide_equal(f.apply(eq.left), f.apply(eq.right), bound):
+            continue
+        if dst.rewriting() is not None:
+            detail = "does not hold in the target"
+        else:
+            detail = f"not proved equal within bound {bound}"
+        report.add("equation-not-preserved",
+                   f"image of equation {eq.name!r} {detail}")
     return report

@@ -258,7 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("map_file")
     p.add_argument("--src-data", default=None)
     p.add_argument("--dst-data", default=None)
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND)
+    p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+                   help="rewrite steps for the bounded search of path "
+                        "equality, used only when the target's equations "
+                        "do not complete (default %(default)s)")
     common(p)
     p.set_defaults(func=cmd_check_mapping)
 

@@ -43,6 +43,7 @@ from dataclasses import dataclass, field
 
 from .category import Equation, Generator, Path, PathCategory
 from .errors import (
+    BadVerbPhrase,
     DanglingReference,
     DuplicateId,
     ParseError,
@@ -343,6 +344,14 @@ def serialize_olog(doc: OlogDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _atomic_verb(text: str, kind: str, name: str) -> AtomicVerb:
+    """The verb phrase of a declaration; an error names the declaration."""
+    try:
+        return AtomicVerb(text)
+    except BadVerbPhrase as exc:
+        raise BadVerbPhrase(f"{kind} {name!r}: {exc}") from None
+
+
 def olog_from_document(doc: OlogDocument) -> Olog:
     """Build the olog, checking references, duplicates, and noun phrases."""
     type_names = [t.name for t in doc.types]
@@ -395,9 +404,10 @@ def olog_from_document(doc: OlogDocument) -> Olog:
     structure = LinguisticStructure(
         type_labels={t.name: TypeLabel(NounPhrase(t.noun), frozenset(t.authors))
                      for t in doc.types},
-        aspect_labels={a.name: AspectLabel(AtomicVerb(a.verb),
-                                           frozenset(a.authors))
-                       for a in doc.aspects},
+        aspect_labels={
+            a.name: AspectLabel(_atomic_verb(a.verb, "aspect", a.name),
+                                frozenset(a.authors))
+            for a in doc.aspects},
         fact_authors={f.name: frozenset(f.authors) for f in doc.facts},
     )
     return Olog(doc.name, category, structure)
@@ -555,7 +565,8 @@ def morphism_from_document(doc: MappingDocument, source: Olog, target: Olog):
                          dict(doc.object_map), generator_map)
     components = {
         obj: AspectLabel(
-            UNIT if verb == "is of course" else AtomicVerb(verb),
+            UNIT if verb == "is of course"
+            else _atomic_verb(verb, "component", obj),
             frozenset(auth),
         )
         for obj, (verb, auth) in doc.components.items()

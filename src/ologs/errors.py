@@ -37,6 +37,10 @@ class BadNounPhrase(OlogError):
     """Noun phrase text does not start with an indefinite article."""
 
 
+class BadVerbPhrase(OlogError):
+    """Verb phrase text is empty."""
+
+
 class UnknownToken(OlogError):
     pass
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .errors import BadNounPhrase, ShapeMismatch
+from .errors import BadNounPhrase, BadVerbPhrase, ShapeMismatch
 
 AuthorSet = frozenset
 
@@ -55,7 +55,7 @@ class AtomicVerb:
 
     def __post_init__(self):
         if not self.text:
-            raise ValueError("verb phrase text must be nonempty")
+            raise BadVerbPhrase("verb phrase text must be nonempty")
 
 
 @dataclass(frozen=True)

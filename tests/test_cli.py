@@ -561,3 +561,23 @@ def test_emit_prints_the_report_text(capsys):
     report.add("f", "a finding")
     assert cli._emit(report, False) == 1
     assert capsys.readouterr().err == "f: a finding\nwarning w: a warning\n"
+
+
+@pytest.mark.parametrize("kind", ["olog", "mapping"])
+def test_empty_verb_is_a_usage_error(fixtures, tmp_path, capsys, kind):
+    if kind == "olog":
+        path = tmp_path / "e.olog"
+        path.write_text('olog "e"\ntype a = "an a" by {A}\n'
+                        'aspect f : a -> a = "" by {A}\n', encoding="utf-8")
+        argv, named = ("validate", path), "aspect 'f'"
+    else:
+        shutil.copy(fixtures / "father.olog", tmp_path)
+        path = tmp_path / "e.map"
+        path.write_text('mapping "e"\nsource "father.olog"\n'
+                        'target "father.olog"\nobject person -> person\n'
+                        "object father -> father\naspect has -> [has]\n"
+                        'component person = "" by {S}\n', encoding="utf-8")
+        argv, named = ("check-mapping", path), "component 'person'"
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: {named}: verb phrase text must be nonempty\n"

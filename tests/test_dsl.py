@@ -6,6 +6,7 @@ from ologs.category import Path
 from ologs.dsl import (
     document_from_olog,
     load_olog,
+    morphism_from_document,
     olog_from_document,
     parse_mapping,
     parse_olog,
@@ -14,6 +15,7 @@ from ologs.dsl import (
 )
 from ologs.errors import (
     BadNounPhrase,
+    BadVerbPhrase,
     DanglingReference,
     DuplicateId,
     ParseError,
@@ -158,6 +160,25 @@ def test_bare_noun_phrase_rejected():
     text = 'olog "o"\ntype p = "person" by {S}\n'
     with pytest.raises(BadNounPhrase):
         olog_from_document(parse_olog(text))
+
+
+def test_empty_aspect_verb_names_the_aspect():
+    text = 'olog "o"\ntype a = "an a" by {A}\naspect f : a -> a = "" by {A}\n'
+    with pytest.raises(BadVerbPhrase,
+                       match="^aspect 'f': verb phrase text must be nonempty$"):
+        olog_from_document(parse_olog(text))
+
+
+def test_empty_component_verb_names_the_component(fixtures):
+    doc = parse_mapping('mapping "m"\n'
+                        "object person -> person\n"
+                        "object father -> father\n"
+                        "aspect has -> [has]\n"
+                        'component father = "" by {S}\n')
+    olog = load_olog(fixtures / "father.olog")
+    with pytest.raises(BadVerbPhrase, match="^component 'father': "
+                       "verb phrase text must be nonempty$"):
+        morphism_from_document(doc, olog, olog)
 
 
 def test_document_from_olog_flattens_pullback_verbs(fixtures):
