@@ -29,7 +29,7 @@ from .instance import (
     validate_instance,
     write_bundle,
 )
-from .language import read_sentence
+from .language import read_equivalence, read_sentence
 from .mapping import (
     DEFAULT_SEARCH_LIMIT,
     InstanceMorphism,
@@ -42,7 +42,7 @@ from .mapping import (
     search_conforming,
     validate_linguistic_functor,
 )
-from .olog import generator_sentence, derived_sentence, read_fact, validate_olog
+from .olog import derived_sentence, generator_sentence, validate_olog
 from .report import ValidationReport
 
 
@@ -90,11 +90,11 @@ def cmd_read(args) -> int:
         lines.append(("sentence", read_sentence(generator_sentence(olog, g.name))))
     if args.facts:
         for eq in olog.category.equations:
-            lines.append(("sentence",
-                          read_sentence(derived_sentence(olog, eq.left))))
-            lines.append(("sentence",
-                          read_sentence(derived_sentence(olog, eq.right))))
-            lines.append(("fact", read_fact(olog, eq.name)))
+            left = derived_sentence(olog, eq.left)
+            right = derived_sentence(olog, eq.right)
+            lines.append(("sentence", read_sentence(left)))
+            lines.append(("sentence", read_sentence(right)))
+            lines.append(("fact", read_equivalence(left, right)))
     if args.json:
         # Readings are not findings: the report is ok.
         findings = [{"code": code, "message": message}

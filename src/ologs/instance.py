@@ -215,7 +215,10 @@ def render_correspondences(inst: Instance, gen: str) -> list[str]:
 
 def read_table_file(path) -> InstanceTable:
     with open(path, newline="", encoding="utf-8") as handle:
-        rows = list(map(tuple, filter(None, csv.reader(handle))))
+        try:
+            rows = list(map(tuple, filter(None, csv.reader(handle))))
+        except csv.Error as exc:
+            raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty table file")
     return InstanceTable(header=rows[0], rows=tuple(rows[1:]))
@@ -228,6 +231,53 @@ def write_table_file(path, table: InstanceTable) -> None:
         writer.writerows(table.rows)
 
 
+def _load_plain(path, index: dict):
+    """What `_bind(read_table_file(path), index)` returns, read by bulk
+    string splits, or None where that takes more than splits to decide.
+
+    Only the header goes through `csv.reader`.  The body is read whole
+    and taken only when it is plain: no quote, carriage return or NUL
+    (so `csv.reader` would split it on newlines and commas alone), no
+    blank line, no field over `csv.field_size_limit()`, one comma per
+    line of a two-column table, and no repeated token or key.  Every
+    other table, and every error, is left to `read_table_file` and
+    `_bind`.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as handle:
+            header = tuple(next(csv.reader(handle), ()))
+            body = handle.read()
+    except (csv.Error, OSError, ValueError):
+        return None
+    matches = index.get(header, ())
+    if len(matches) != 1 or '"' in body or "\r" in body or "\0" in body:
+        return None
+    lines = body.removesuffix("\n")
+    if len(header) == 1:
+        fields = lines.split("\n") if body else []
+        if "," in lines or "" in fields or len(set(fields)) != len(fields):
+            return None  # a blank line, a second column or a duplicate row
+        content = tuple(fields)
+    else:
+        fields = lines.replace(",", "\n").split("\n") if body else []
+        keys, values = fields[0::2], fields[1::2]
+        content = dict(zip(keys, values))
+        if ("\n".join(map(",".join, zip(keys, values))) != lines
+                or len(content) != len(keys)):
+            return None  # a line without exactly one comma, or a repeated key
+    # A field over the limit holds a whole aligned block of `half`
+    # characters, so the fields are measured only when some block has no
+    # separator.
+    limit = csv.field_size_limit()
+    half = limit // 2 + 1
+    blocks = (lines[i:i + half]
+              for i in range(0, len(lines) - half + 1, half))
+    if (any("\n" not in block and "," not in block for block in blocks)
+            and max(map(len, fields)) > limit):
+        return None
+    return ("tokens" if len(header) == 1 else "function"), matches[0], content
+
+
 def load_bundle(directory, o: Olog) -> Instance:
     """Load a directory of CSV tables keyed by type/generator id.
 
@@ -236,7 +286,10 @@ def load_bundle(directory, o: Olog) -> Instance:
     up in one index of every type's and aspect's header, built once per
     call, and an aspect table becomes its token function in one `dict`
     call, so a bundle costs time linear in its rows, not rows times the
-    olog's size.  Errors and their messages are those of `load_table`.
+    olog's size.  A plain table (see `_load_plain`) is split with `str`
+    methods instead of `csv.reader`; any other table goes through
+    `read_table_file` and `_bind`, which raise every error, so errors and
+    their messages are those of `read_table_file` and `load_table`.
     """
     directory = FsPath(directory)
     index = _header_index(o)
@@ -245,7 +298,8 @@ def load_bundle(directory, o: Olog) -> Instance:
     tokens: dict[str, tuple[str, ...]] = {}
     functions: dict[str, dict[str, str]] = {}
     for path in sorted(directory.glob("*.csv")):
-        kind, target, content = _bind(read_table_file(path), index)
+        kind, target, content = (_load_plain(path, index)
+                                 or _bind(read_table_file(path), index))
         name = path.stem
         if name in objects:
             if kind != "tokens" or target != name:

@@ -65,16 +65,21 @@ def derived_aspect(o: Olog, p: Path) -> AspectLabel:
     intersection of the generator author sets.  An identity path yields
     the unit verb phrase endorsed by the authors of its object.
     """
+    return _derived(o, p)[0]
+
+
+def _derived(o: Olog, p: Path) -> tuple[AspectLabel, str]:
+    """The derived aspect of p and its target, from one walk along p."""
     objs = o.category.objects_along(p)
     if p.is_identity:
-        return AspectLabel(UNIT, o.type_authors(p.source))
+        return AspectLabel(UNIT, o.type_authors(p.source)), p.source
     labels = [o.aspect(name) for name in p.arrows]
     verb: VerbPhrase = labels[0].verb
     auth = labels[0].authors
     for via, label in zip(objs[1:], labels[1:]):
         verb = ConcatVerb(verb, o.noun(via), label.verb)
         auth = auth & label.authors
-    return AspectLabel(verb, auth)
+    return AspectLabel(verb, auth), objs[-1]
 
 
 def derived_authors(o: Olog, p: Path) -> AuthorSet:
@@ -82,11 +87,9 @@ def derived_authors(o: Olog, p: Path) -> AuthorSet:
 
 
 def derived_sentence(o: Olog, p: Path) -> Sentence:
-    return Sentence(
-        subject=o.noun(p.source),
-        verb=derived_aspect(o, p).verb,
-        obj=o.noun(o.category.target_of(p)),
-    )
+    subject = o.noun(p.source)
+    label, target = _derived(o, p)
+    return Sentence(subject, label.verb, o.noun(target))
 
 
 def generator_sentence(o: Olog, gen: str) -> Sentence:

@@ -4,6 +4,7 @@ import csv
 import json
 import random
 import shutil
+import sys
 
 import pytest
 
@@ -581,3 +582,49 @@ def test_empty_verb_is_a_usage_error(fixtures, tmp_path, capsys, kind):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"error: {named}: verb phrase text must be nonempty\n"
+
+
+def test_overlong_bundle_field_is_a_usage_error(fixtures, tmp_path, capsys):
+    """csv's field limit ends check-instance with a message, not a
+    `csv.Error` traceback."""
+    bundle = tmp_path / "bush"
+    shutil.copytree(fixtures / "data" / "bush", bundle)
+    table = bundle / "father.csv"
+    limit = csv.field_size_limit()
+    with open(table, "a", encoding="utf-8") as handle:
+        handle.write("x" * (limit + 1) + "\n")
+    code, out, err = run(capsys, "check-instance", fixtures / "father.olog",
+                         bundle)
+    assert (code, out) == (2, "")
+    assert err == f"error: {table}: field larger than field limit ({limit})\n"
+
+
+@pytest.mark.parametrize("command", ["check-mapping", "search-conforming"])
+def test_overlong_correspondence_field_is_a_usage_error(fixtures, tmp_path,
+                                                        capsys, command):
+    data = write_self_merge(fixtures, tmp_path)
+    limit = csv.field_size_limit()
+    rewrite_correspondence(tmp_path, "person",
+                           lambda rows: rows + ["x" * (limit + 1) + ",y"])
+    code, out, err = run(capsys, command, tmp_path / "self.map", *data)
+    assert (code, out) == (2, "")
+    assert err == (f"error: {tmp_path / 'person_corr.csv'}: "
+                   f"field larger than field limit ({limit})\n")
+
+
+def test_nul_in_a_bundle_table_is_read_as_csv_reads_it(fixtures, tmp_path,
+                                                       capsys):
+    """Python 3.10's csv rejects a NUL, which is then a usage error; later
+    versions read it as a character of a token."""
+    bundle = tmp_path / "bush"
+    shutil.copytree(fixtures / "data" / "bush", bundle)
+    table = bundle / "father.csv"
+    with open(table, "a", encoding="utf-8") as handle:
+        handle.write("Nobody\0 Known\n")
+    code, out, err = run(capsys, "check-instance", fixtures / "father.olog",
+                         bundle)
+    if sys.version_info < (3, 11):
+        assert (code, out, err) == (
+            2, "", f"error: {table}: line contains NUL\n")
+    else:
+        assert (code, out, err) == (0, "", "")
