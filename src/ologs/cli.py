@@ -101,8 +101,7 @@ def cmd_read(args) -> int:
                     for code, message in lines]
         print(json.dumps({"ok": True, "findings": findings}))
     else:
-        for _, message in lines:
-            print(message)
+        sys.stdout.write("".join(f"{message}\n" for _, message in lines))
     return 0
 
 

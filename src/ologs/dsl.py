@@ -25,13 +25,17 @@ One lexical grammar serves both readers: a word is a maximal run of
 characters that are not whitespace, punctuation, '"' or '#', and not
 the start of "->"; a string may hold \\" and \\\\ escapes; '#' outside a
 string starts a comment.  The tokenizer and the line patterns are
-built from the same regex pieces for these rules.
+built from the same regex pieces for these rules.  The word piece is
+written as an unrolled loop -- runs of word characters other than '-',
+joined by hyphens that do not start "->" -- so the regex engine scans a
+run in one step instead of trying an alternation at every character.
 
 Every line is matched or tokenized before any is parsed.  A
 well-formed type, aspect or fact line of an olog after its header is
-read by one compiled pattern per kind, which builds the declaration
-from its groups.  Every other line -- headers, comments, mapping
-lines, identity paths with more ids such as [1 ; a], and every
+read by the one compiled pattern its first whitespace-separated word
+names, which builds the declaration from its groups; author and path
+lists are split with str.split.  Every other line -- headers, comments,
+mapping lines, identity paths with more ids such as [1 ; a], and every
 malformed line -- goes to the token parser, which produces every
 ParseError.
 """
@@ -53,7 +57,11 @@ from .errors import (
 from .language import AtomicVerb, NounPhrase, UNIT, read_verb
 from .olog import AspectLabel, LinguisticStructure, Olog, TypeLabel
 
-_WORD = r'(?:[^\s{}\[\],;:=~"#-]|-(?!>))+'
+# Unrolled: runs of word characters other than '-', each '-' not
+# followed by '>'.  The lookaheads refuse an empty word and one that
+# starts "->".
+_WORD = (r'(?=[^\s{}\[\],;:=~"#])(?!->)'
+         r'[^\s{}\[\],;:=~"#-]*(?:-(?!>)[^\s{}\[\],;:=~"#-]*)*')
 _STRING = r'"([^"\\]*(?:\\(?:["\\]|(?!["\\]))[^"\\]*)*)"'
 _COMMENT = r"#.*"
 _ESCAPE = re.compile(r'\\(["\\])')
@@ -261,43 +269,50 @@ _AUTHORS = (rf"by\s*\{{\s*((?:{_WORD}(?:\s*,\s*{_WORD})*)?)\s*\}}"
             rf"\s*(?:{_COMMENT})?")
 # A path that starts [1 ; is left to the token parser, which rejects it.
 _PATH = rf"\[\s*(?!1\s*;)({_WORD}(?:\s*;\s*{_WORD})*)\s*\]"
-_TYPE_LINE = re.compile(
-    rf"\s*type\s+({_WORD})\s*=\s*{_STRING}\s*{_AUTHORS}", re.S)
-_ASPECT_LINE = re.compile(
-    rf"\s*aspect\s+({_WORD})\s*:\s*({_WORD})\s*->\s*({_WORD})\s*=\s*"
-    rf"{_STRING}\s*{_AUTHORS}", re.S)
-_FACT_LINE = re.compile(
-    rf"\s*fact\s+({_WORD})\s*:\s*{_PATH}\s*~\s*{_PATH}\s*{_AUTHORS}", re.S)
-_SEPARATED = re.compile(r"\s*[,;]\s*")
+_LINE_PATTERNS = {
+    "type": re.compile(
+        rf"\s*type\s+({_WORD})\s*=\s*{_STRING}\s*{_AUTHORS}", re.S),
+    "aspect": re.compile(
+        rf"\s*aspect\s+({_WORD})\s*:\s*({_WORD})\s*->\s*({_WORD})\s*=\s*"
+        rf"{_STRING}\s*{_AUTHORS}", re.S),
+    "fact": re.compile(
+        rf"\s*fact\s+({_WORD})\s*:\s*{_PATH}\s*~\s*{_PATH}\s*{_AUTHORS}",
+        re.S),
+}
 
 
-def _ids(text: str) -> tuple[str, ...]:
-    return tuple(_SEPARATED.split(text)) if text else ()
+def _ids(text: str, separator: str = ",") -> tuple[str, ...]:
+    """The ids of a matched author or path list.  A word holds no
+    whitespace, ',' or ';', and str.split splits at exactly the
+    characters that \\s matches."""
+    return tuple(text.replace(separator, " ").split())
 
 
 def _path(text: str) -> tuple[str, ...] | None:
-    ids = _ids(text)
+    ids = _ids(text, ";")
     return None if ids == ("1",) else ids
 
 
 def _match_declaration(raw: str) -> TypeDecl | AspectDecl | FactDecl | None:
     """The declaration on a well-formed olog line, or None for any other line.
 
-    Where it returns a declaration, _declaration gives an equal one.
+    The line's first word picks the one pattern that can read it.  Where
+    it returns a declaration, _declaration gives an equal one.
     """
-    m = _TYPE_LINE.fullmatch(raw)
-    if m:
+    words = raw.split(None, 1)
+    keyword = words[0] if words else None
+    pattern = _LINE_PATTERNS.get(keyword)
+    m = pattern.fullmatch(raw) if pattern else None
+    if m is None:
+        return None
+    if keyword == "type":
         name, noun, auth = m.groups()
         return TypeDecl(name, _unquote(noun), _ids(auth))
-    m = _ASPECT_LINE.fullmatch(raw)
-    if m:
+    if keyword == "aspect":
         name, source, target, verb, auth = m.groups()
         return AspectDecl(name, source, target, _unquote(verb), _ids(auth))
-    m = _FACT_LINE.fullmatch(raw)
-    if m:
-        name, left, right, auth = m.groups()
-        return FactDecl(name, _path(left), _path(right), _ids(auth))
-    return None
+    name, left, right, auth = m.groups()
+    return FactDecl(name, _path(left), _path(right), _ids(auth))
 
 
 def parse_olog(text: str) -> OlogDocument:

@@ -71,11 +71,26 @@ UNIT = UnitVerb()
 
 
 def read_verb(v: VerbPhrase) -> str:
-    if isinstance(v, UnitVerb):
-        return "is of course"
+    """The reading of v; a composite reads "V1 N2, which V2".
+
+    Composites are walked with an explicit stack, not by recursion, so a
+    path of any length reads.
+    """
     if isinstance(v, AtomicVerb):
         return v.text
-    return f"{read_verb(v.left)} {v.via}, which {read_verb(v.right)}"
+    parts = []
+    stack: list = [v]  # verbs still to read, and the text between them
+    while stack:
+        item = stack.pop()
+        if isinstance(item, ConcatVerb):
+            stack += (item.right, f" {item.via}, which ", item.left)
+        elif isinstance(item, AtomicVerb):
+            parts.append(item.text)
+        elif isinstance(item, UnitVerb):
+            parts.append("is of course")
+        else:
+            parts.append(item)  # the text between two verbs
+    return "".join(parts)
 
 
 @dataclass(frozen=True)

@@ -65,31 +65,39 @@ def derived_aspect(o: Olog, p: Path) -> AspectLabel:
     intersection of the generator author sets.  An identity path yields
     the unit verb phrase endorsed by the authors of its object.
     """
-    return _derived(o, p)[0]
+    verb, _ = _derived_verb(o, p)
+    return AspectLabel(verb, derived_authors(o, p))
 
 
-def _derived(o: Olog, p: Path) -> tuple[AspectLabel, str]:
-    """The derived aspect of p and its target, from one walk along p."""
+def _derived_verb(o: Olog, p: Path) -> tuple[VerbPhrase, str]:
+    """The derived verb phrase of p and its target, from one walk along p."""
     objs = o.category.objects_along(p)
     if p.is_identity:
-        return AspectLabel(UNIT, o.type_authors(p.source)), p.source
-    labels = [o.aspect(name) for name in p.arrows]
-    verb: VerbPhrase = labels[0].verb
-    auth = labels[0].authors
-    for via, label in zip(objs[1:], labels[1:]):
-        verb = ConcatVerb(verb, o.noun(via), label.verb)
-        auth = auth & label.authors
-    return AspectLabel(verb, auth), objs[-1]
+        return UNIT, p.source
+    labels = o.structure.aspect_labels
+    verb: VerbPhrase = labels[p.arrows[0]].verb
+    for via, name in zip(objs[1:-1], p.arrows[1:]):
+        verb = ConcatVerb(verb, o.noun(via), labels[name].verb)
+    return verb, objs[-1]
 
 
 def derived_authors(o: Olog, p: Path) -> AuthorSet:
-    return derived_aspect(o, p).authors
+    """The authors of every generator along p; of its object if p is an
+    identity."""
+    o.category.objects_along(p)  # raises InvalidPath unless p is a path of o
+    if p.is_identity:
+        return o.type_authors(p.source)
+    labels = o.structure.aspect_labels
+    auth = labels[p.arrows[0]].authors
+    for name in p.arrows[1:]:
+        auth = auth & labels[name].authors
+    return auth
 
 
 def derived_sentence(o: Olog, p: Path) -> Sentence:
     subject = o.noun(p.source)
-    label, target = _derived(o, p)
-    return Sentence(subject, label.verb, o.noun(target))
+    verb, target = _derived_verb(o, p)
+    return Sentence(subject, verb, o.noun(target))
 
 
 def generator_sentence(o: Olog, gen: str) -> Sentence:
