@@ -137,9 +137,14 @@ def _load_data(args, m):
 
 
 def cmd_check_mapping(args) -> int:
+    with_data = bool(args.src_data)
+    if with_data != bool(args.dst_data):
+        print("error: --src-data and --dst-data must be given together",
+              file=sys.stderr)
+        return 2
     doc, base, m = _load_mapping(args.map_file)
     report = _validate_mapping(m, args.bound)
-    if report.ok and args.src_data and args.dst_data:
+    if report.ok and with_data:
         i, j, data_report = _load_data(args, m)
         report.extend(data_report)
         if not report.ok:
@@ -255,8 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-mapping",
                        help="validate a mapping, optionally against data")
     p.add_argument("map_file")
-    p.add_argument("--src-data", default=None)
-    p.add_argument("--dst-data", default=None)
+    p.add_argument("--src-data", default=None,
+                   help="source bundle; give it with --dst-data")
+    p.add_argument("--dst-data", default=None,
+                   help="target bundle; give it with --src-data")
     p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
                    help="rewrite steps for the bounded search of path "
                         "equality, used only when the target's equations "

@@ -31,13 +31,17 @@ joined by hyphens that do not start "->" -- so the regex engine scans a
 run in one step instead of trying an alternation at every character.
 
 Every line is matched or tokenized before any is parsed.  A
-well-formed type, aspect or fact line of an olog after its header is
-read by the one compiled pattern its first whitespace-separated word
-names, which builds the declaration from its groups; author and path
-lists are split with str.split.  Every other line -- headers, comments,
-mapping lines, identity paths with more ids such as [1 ; a], and every
-malformed line -- goes to the token parser, which produces every
-ParseError.
+well-formed declaration line after the header -- type, aspect or fact
+in an olog; source, target, object, aspect, component, square or table
+in a mapping -- is read by the one compiled pattern its first
+whitespace-separated word names, which builds the declaration from its
+groups; author and path lists are split with str.split.  Every other
+line -- headers, comments, identity paths with more ids such as
+[1 ; a], and every malformed line -- goes to the token parser, which
+produces every ParseError.  Both readings of a mapping line give the
+same (keyword, key, value), and one loop checks duplicates and stores
+them, so a DuplicateId comes before a later line's ParseError exactly
+as when the token parser reads every line.
 """
 
 from __future__ import annotations
@@ -265,8 +269,8 @@ def _declaration(lp: _LineParser) -> TypeDecl | AspectDecl | FactDecl:
 
 
 # One pattern per olog declaration kind, built from the tokenizer's pieces.
-_AUTHORS = (rf"by\s*\{{\s*((?:{_WORD}(?:\s*,\s*{_WORD})*)?)\s*\}}"
-            rf"\s*(?:{_COMMENT})?")
+_TAIL = rf"\s*(?:{_COMMENT})?"
+_AUTHORS = rf"by\s*\{{\s*((?:{_WORD}(?:\s*,\s*{_WORD})*)?)\s*\}}{_TAIL}"
 # A path that starts [1 ; is left to the token parser, which rejects it.
 _PATH = rf"\[\s*(?!1\s*;)({_WORD}(?:\s*;\s*{_WORD})*)\s*\]"
 _LINE_PATTERNS = {
@@ -293,18 +297,26 @@ def _path(text: str) -> tuple[str, ...] | None:
     return None if ids == ("1",) else ids
 
 
+def _keyword_match(raw: str, patterns: dict):
+    """The line's first whitespace-separated word and the match of the one
+    pattern it names, or None when that pattern does not read the line."""
+    words = raw.split(None, 1)
+    keyword = words[0] if words else None
+    pattern = patterns.get(keyword)
+    m = pattern.fullmatch(raw) if pattern else None
+    return (keyword, m) if m else None
+
+
 def _match_declaration(raw: str) -> TypeDecl | AspectDecl | FactDecl | None:
     """The declaration on a well-formed olog line, or None for any other line.
 
     The line's first word picks the one pattern that can read it.  Where
     it returns a declaration, _declaration gives an equal one.
     """
-    words = raw.split(None, 1)
-    keyword = words[0] if words else None
-    pattern = _LINE_PATTERNS.get(keyword)
-    m = pattern.fullmatch(raw) if pattern else None
-    if m is None:
+    found = _keyword_match(raw, _LINE_PATTERNS)
+    if found is None:
         return None
+    keyword, m = found
     if keyword == "type":
         name, noun, auth = m.groups()
         return TypeDecl(name, _unquote(noun), _ids(auth))
@@ -472,47 +484,101 @@ class MappingDocument:
     tables: dict[str, str] = field(default_factory=dict)
 
 
+def _mapping_entry(lp: _LineParser) -> tuple[str, str, object]:
+    """The token parser's reading of one mapping line, as (keyword, key,
+    value); parse_mapping checks the end of the line."""
+    keyword = lp.word("a mapping declaration")
+    if keyword in ("source", "target"):
+        return keyword, keyword, lp.string("olog file path")
+    if keyword == "object":
+        key = lp.word("object identifier")
+        lp.arrow()
+        return keyword, key, lp.word("object identifier")
+    if keyword == "aspect":
+        key = lp.word("aspect identifier")
+        lp.arrow()
+        return keyword, key, lp.path_ids()
+    if keyword == "component":
+        key = lp.word("object identifier")
+        lp.punct("=")
+        return keyword, key, (lp.string("verb phrase"), lp.authors())
+    if keyword == "square":
+        return keyword, lp.word("aspect identifier"), lp.authors()
+    if keyword == "table":
+        key = lp.word("object identifier")
+        lp.punct("=")
+        return keyword, key, lp.string("csv file path")
+    lp.pos = 0
+    lp.fail("'source', 'target', 'object', 'aspect', 'component', "
+            "'square', or 'table'")
+
+
+# One pattern per mapping line kind.  A square needs whitespace before
+# "by", or "square topby {A}" would read as the aspect "top".
+_MAPPING_PATTERNS = {
+    "source": re.compile(rf"\s*source\s*{_STRING}{_TAIL}", re.S),
+    "target": re.compile(rf"\s*target\s*{_STRING}{_TAIL}", re.S),
+    "object": re.compile(
+        rf"\s*object\s+({_WORD})\s*->\s*({_WORD}){_TAIL}", re.S),
+    "aspect": re.compile(rf"\s*aspect\s+({_WORD})\s*->\s*{_PATH}{_TAIL}",
+                         re.S),
+    "component": re.compile(
+        rf"\s*component\s+({_WORD})\s*=\s*{_STRING}\s*{_AUTHORS}", re.S),
+    "square": re.compile(rf"\s*square\s+({_WORD})\s+{_AUTHORS}", re.S),
+    "table": re.compile(rf"\s*table\s+({_WORD})\s*=\s*{_STRING}{_TAIL}",
+                        re.S),
+}
+
+
+def _match_mapping_entry(raw: str) -> tuple[str, str, object] | None:
+    """The (keyword, key, value) on a well-formed mapping line, or None for
+    any other line.  Where it returns an entry, _mapping_entry gives an
+    equal one."""
+    found = _keyword_match(raw, _MAPPING_PATTERNS)
+    if found is None:
+        return None
+    keyword, m = found
+    if keyword in ("source", "target"):
+        return keyword, keyword, _unquote(m[1])
+    if keyword == "object":
+        return keyword, m[1], m[2]
+    if keyword == "aspect":
+        return keyword, m[1], _path(m[2])
+    if keyword == "component":
+        key, verb, auth = m.groups()
+        return keyword, key, (_unquote(verb), _ids(auth))
+    if keyword == "square":
+        return keyword, m[1], _ids(m[2])
+    return keyword, m[1], _unquote(m[2])
+
+
+_DUPLICATE = {
+    "source": "source declared twice",
+    "target": "target declared twice",
+    "object": "object {!r} mapped twice",
+    "aspect": "aspect {!r} mapped twice",
+    "component": "component at {!r} declared twice",
+    "square": "square at {!r} declared twice",
+    "table": "table at {!r} declared twice",
+}
+
+
 def parse_mapping(text: str) -> MappingDocument:
-    lines = _nonblank_lines(text)
+    lines = _nonblank_lines(text, match=_match_mapping_entry)
     doc = MappingDocument(_header(lines, "mapping"))
     refs = {}
-    for lp in lines[1:]:
-        keyword = lp.word("a mapping declaration")
-        if keyword in ("source", "target"):
-            table, key, what = refs, keyword, f"{keyword} declared"
-            value = lp.string("olog file path")
-        elif keyword == "object":
-            table, key = doc.object_map, lp.word("object identifier")
-            lp.arrow()
-            value = lp.word("object identifier")
-            what = f"object {key!r} mapped"
-        elif keyword == "aspect":
-            table, key = doc.aspect_map, lp.word("aspect identifier")
-            lp.arrow()
-            value = lp.path_ids()
-            what = f"aspect {key!r} mapped"
-        elif keyword == "component":
-            table, key = doc.components, lp.word("object identifier")
-            lp.punct("=")
-            value = (lp.string("verb phrase"), lp.authors())
-            what = f"component at {key!r} declared"
-        elif keyword == "square":
-            table, key = doc.squares, lp.word("aspect identifier")
-            value = lp.authors()
-            what = f"square at {key!r} declared"
-        elif keyword == "table":
-            table, key = doc.tables, lp.word("object identifier")
-            lp.punct("=")
-            value = lp.string("csv file path")
-            what = f"table at {key!r} declared"
-        else:
-            lp.pos = 0
-            lp.fail("'source', 'target', 'object', 'aspect', 'component', "
-                    "'square', or 'table'")
+    tables = {"source": refs, "target": refs, "object": doc.object_map,
+              "aspect": doc.aspect_map, "component": doc.components,
+              "square": doc.squares, "table": doc.tables}
+    for line in lines[1:]:
+        parsed = isinstance(line, _LineParser)
+        keyword, key, value = _mapping_entry(line) if parsed else line
+        table = tables[keyword]
         if key in table:
-            raise DuplicateId(f"{what} twice")
+            raise DuplicateId(_DUPLICATE[keyword].format(key))
         table[key] = value
-        lp.end()
+        if parsed:
+            line.end()
     doc.source_ref = refs.get("source", "")
     doc.target_ref = refs.get("target", "")
     return doc

@@ -60,9 +60,66 @@ class AtomicVerb:
 
 @dataclass(frozen=True)
 class ConcatVerb:
+    """V1 then V2 through the noun phrase N2 between them.
+
+    A composite along a path of n arrows nests n - 1 deep, so equality,
+    hashing and repr walk the tree with an explicit stack instead of the
+    dataclass methods, which recurse once per level.  They mean what the
+    dataclass methods mean, and repr gives the same text.
+    """
+
     left: "VerbPhrase"
     via: NounPhrase
     right: "VerbPhrase"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if isinstance(a, ConcatVerb) and b.__class__ is a.__class__:
+                pairs += ((a.right, b.right), (a.via, b.via), (a.left, b.left))
+            elif not a == b:
+                return False
+        return True
+
+    def __hash__(self):
+        hashes = []  # of the finished subtrees, left to right
+        stack: list = [self]  # subtrees to hash, and the verbs to combine
+        while stack:
+            item = stack.pop()
+            if item is _COMBINE:
+                right, via, left = hashes.pop(), hashes.pop(), hashes.pop()
+                hashes.append(hash((left, via, right)))
+            elif isinstance(item, ConcatVerb):
+                stack += (_COMBINE, item.right, item.via, item.left)
+            else:
+                hashes.append(hash(item))
+        return hashes[0]
+
+    def __repr__(self):
+        parts = []
+        stack: list = [self]  # subtrees to write, and text already written
+        while stack:
+            item = stack.pop()
+            if isinstance(item, ConcatVerb):
+                parts.append(f"{item.__class__.__qualname__}(left=")
+                stack += (")", _repr_part(item.right), ", right=",
+                          repr(item.via), ", via=", _repr_part(item.left))
+            else:
+                parts.append(item)
+        return "".join(parts)
+
+
+_COMBINE = object()  # ConcatVerb.__hash__: combine the last three hashes
+
+
+def _repr_part(v):
+    """A subtree for ConcatVerb.__repr__ to expand, or a leaf's repr."""
+    return v if isinstance(v, ConcatVerb) else repr(v)
 
 
 VerbPhrase = Union[UnitVerb, AtomicVerb, ConcatVerb]

@@ -628,3 +628,26 @@ def test_nul_in_a_bundle_table_is_read_as_csv_reads_it(fixtures, tmp_path,
             2, "", f"error: {table}: line contains NUL\n")
     else:
         assert (code, out, err) == (0, "", "")
+
+
+class TestCheckMappingDataFlags:
+    """--src-data and --dst-data are given together or not at all."""
+
+    MESSAGE = "error: --src-data and --dst-data must be given together\n"
+
+    @pytest.mark.parametrize("flag, bundle", [("--src-data", "human"),
+                                              ("--dst-data", "person")])
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_one_data_flag_alone_is_a_usage_error(self, fixtures, capsys,
+                                                  flag, bundle, as_json):
+        argv = ["check-mapping", fixtures / "merge_is.map",
+                flag, fixtures / "data" / bundle]
+        code, out, err = run(capsys, *argv, *(["--json"] if as_json else []))
+        assert (code, out, err) == (2, "", self.MESSAGE)
+
+    @pytest.mark.parametrize("flag", ["--src-data", "--dst-data"])
+    def test_it_is_reported_before_any_file_is_read(self, tmp_path, capsys,
+                                                    flag):
+        code, out, err = run(capsys, "check-mapping", tmp_path / "no.map",
+                             flag, tmp_path / "no-data")
+        assert (code, out, err) == (2, "", self.MESSAGE)
