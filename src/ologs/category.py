@@ -43,14 +43,14 @@ _STEPS_PER_EQUATION = 64  # equations and critical pairs examined
 Arrows = tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generator:
     name: str
     source: str
     target: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Path:
     """A composable run of generators; an empty run is the identity."""
 
@@ -65,7 +65,7 @@ class Path:
         return not self.arrows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Equation:
     """A declared equality between two parallel paths."""
 
@@ -151,18 +151,21 @@ class PathCategory:
         Raises InvalidPath unless p is a composable run rooted in this
         category.
         """
-        if p.source not in self._object_set:
-            raise InvalidPath(f"unknown source object {p.source!r}")
-        objs = [p.source]
+        at = p.source
+        if at not in self._object_set:
+            raise InvalidPath(f"unknown source object {at!r}")
+        gens = self._gen_index
+        objs = [at]
         for name in p.arrows:
-            g = self._gen_index.get(name)
+            g = gens.get(name)
             if g is None:
                 raise InvalidPath(f"unknown generator {name!r}")
-            if g.source != objs[-1]:
+            if g.source != at:
                 raise InvalidPath(
-                    f"generator {name!r} does not compose at object {objs[-1]!r}"
+                    f"generator {name!r} does not compose at object {at!r}"
                 )
-            objs.append(g.target)
+            at = g.target
+            objs.append(at)
         return objs
 
     def check_path(self, p: Path) -> None:

@@ -225,6 +225,19 @@ def cmd_search_conforming(args) -> int:
     return 0
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer of at least 0.  Other text gets the
+    message that type=int gives."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The `olog` argument parser, built once per process: parse_args keeps
@@ -264,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="source bundle; give it with --dst-data")
     p.add_argument("--dst-data", default=None,
                    help="target bundle; give it with --src-data")
-    p.add_argument("--bound", type=int, default=DEFAULT_BOUND,
+    p.add_argument("--bound", type=_count, default=DEFAULT_BOUND,
                    help="rewrite steps for the bounded search of path "
                         "equality, used only when the target's equations "
                         "do not complete (default %(default)s)")
@@ -291,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("map_file")
     p.add_argument("--src-data", required=True)
     p.add_argument("--dst-data", required=True)
-    p.add_argument("--limit", type=int, default=DEFAULT_SEARCH_LIMIT)
+    p.add_argument("--limit", type=_count, default=DEFAULT_SEARCH_LIMIT)
     common(p)
     p.set_defaults(func=cmd_search_conforming)
     return parser

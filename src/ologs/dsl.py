@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .category import Equation, Generator, Path, PathCategory
 from .errors import (
@@ -80,7 +81,7 @@ def _unquote(body: str) -> str:
     return _ESCAPE.sub(r"\1", body) if "\\" in body else body
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str  # WORD | STRING | PUNCT | ARROW
     value: str
@@ -174,15 +175,15 @@ class _LineParser:
             self.fail("end of line")
 
 
-@dataclass(frozen=True)
-class TypeDecl:
+# Declarations are named tuples: cheap to build once per line, and
+# never equal across kinds, whose field counts differ.
+class TypeDecl(NamedTuple):
     name: str
     noun: str
     authors: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class AspectDecl:
+class AspectDecl(NamedTuple):
     name: str
     source: str
     target: str
@@ -190,8 +191,7 @@ class AspectDecl:
     authors: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class FactDecl:
+class FactDecl(NamedTuple):
     name: str
     left: tuple[str, ...] | None  # None encodes the identity path
     right: tuple[str, ...] | None
@@ -311,20 +311,33 @@ def _match_declaration(raw: str) -> TypeDecl | AspectDecl | FactDecl | None:
     """The declaration on a well-formed olog line, or None for any other line.
 
     The line's first word picks the one pattern that can read it.  Where
-    it returns a declaration, _declaration gives an equal one.
+    it returns a declaration, _declaration gives an equal one.  This runs
+    once per line, so it inlines _keyword_match, _ids and _path, and
+    unquotes only a string that holds a backslash.
     """
-    found = _keyword_match(raw, _LINE_PATTERNS)
-    if found is None:
+    words = raw.split(None, 1)
+    pattern = _LINE_PATTERNS.get(words[0]) if words else None
+    m = pattern.fullmatch(raw) if pattern else None
+    if m is None:
         return None
-    keyword, m = found
+    keyword = words[0]
     if keyword == "type":
         name, noun, auth = m.groups()
-        return TypeDecl(name, _unquote(noun), _ids(auth))
+        if "\\" in noun:
+            noun = _unquote(noun)
+        return TypeDecl(name, noun, tuple(auth.replace(",", " ").split()))
     if keyword == "aspect":
         name, source, target, verb, auth = m.groups()
-        return AspectDecl(name, source, target, _unquote(verb), _ids(auth))
+        if "\\" in verb:
+            verb = _unquote(verb)
+        return AspectDecl(name, source, target, verb,
+                          tuple(auth.replace(",", " ").split()))
     name, left, right, auth = m.groups()
-    return FactDecl(name, _path(left), _path(right), _ids(auth))
+    left = tuple(left.replace(";", " ").split())
+    right = tuple(right.replace(";", " ").split())
+    return FactDecl(name, None if left == ("1",) else left,
+                    None if right == ("1",) else right,
+                    tuple(auth.replace(",", " ").split()))
 
 
 def parse_olog(text: str) -> OlogDocument:
@@ -382,17 +395,18 @@ def _atomic_verb(text: str, kind: str, name: str) -> AtomicVerb:
 def olog_from_document(doc: OlogDocument) -> Olog:
     """Build the olog, checking references, duplicates, and noun phrases."""
     type_names = [t.name for t in doc.types]
-    aspect_names = [a.name for a in doc.aspects]
-    fact_names = [f.name for f in doc.facts]
-    for names, kind in ((type_names, "type"), (aspect_names, "aspect"),
-                        (fact_names, "fact")):
-        seen = set()
-        for name in names:
-            if name in seen:
-                raise DuplicateId(f"{kind} {name!r} declared twice")
-            seen.add(name)
     declared_types = set(type_names)
     declared_aspects = {a.name: a for a in doc.aspects}
+    for kind, decls, unique in (
+            ("type", doc.types, declared_types),
+            ("aspect", doc.aspects, declared_aspects),
+            ("fact", doc.facts, {f.name for f in doc.facts})):
+        if len(unique) != len(decls):  # find the first repeated name
+            seen = set()
+            for d in decls:
+                if d.name in seen:
+                    raise DuplicateId(f"{kind} {d.name!r} declared twice")
+                seen.add(d.name)
     generators = []
     for a in doc.aspects:
         for endpoint in (a.source, a.target):
@@ -428,13 +442,18 @@ def olog_from_document(doc: OlogDocument) -> Olog:
         right = build_path(fct.right, fct.left, fct.name)
         equations.append(Equation(fct.name, left, right))
     category = PathCategory(tuple(type_names), tuple(generators), tuple(equations))
+    type_labels = {t.name: TypeLabel(NounPhrase(t.noun), frozenset(t.authors))
+                   for t in doc.types}
+    aspect_labels = {}
+    try:  # as _atomic_verb does, without a call per aspect
+        for a in doc.aspects:
+            aspect_labels[a.name] = AspectLabel(AtomicVerb(a.verb),
+                                                frozenset(a.authors))
+    except BadVerbPhrase as exc:
+        raise BadVerbPhrase(f"aspect {a.name!r}: {exc}") from None
     structure = LinguisticStructure(
-        type_labels={t.name: TypeLabel(NounPhrase(t.noun), frozenset(t.authors))
-                     for t in doc.types},
-        aspect_labels={
-            a.name: AspectLabel(_atomic_verb(a.verb, "aspect", a.name),
-                                frozenset(a.authors))
-            for a in doc.aspects},
+        type_labels=type_labels,
+        aspect_labels=aspect_labels,
         fact_authors={f.name: frozenset(f.authors) for f in doc.facts},
     )
     return Olog(doc.name, category, structure)

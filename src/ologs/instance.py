@@ -123,7 +123,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
     return report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceTable:
     header: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
@@ -137,7 +137,7 @@ class InstanceTable:
             raise ValueError("duplicate rows")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TableBinding:
     """What a table contributes to an instance: tokens or a function."""
 

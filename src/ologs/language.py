@@ -25,7 +25,7 @@ def intersect_authors(a: AuthorSet, b: AuthorSet) -> AuthorSet:
     return a & b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NounPhrase:
     text: str
 
@@ -44,12 +44,12 @@ class NounPhrase:
         return self.text.split(" ", 1)[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnitVerb:
     """The distinguished verb phrase read "is of course"."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AtomicVerb:
     text: str
 
@@ -58,14 +58,15 @@ class AtomicVerb:
             raise BadVerbPhrase("verb phrase text must be nonempty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConcatVerb:
     """V1 then V2 through the noun phrase N2 between them.
 
     A composite along a path of n arrows nests n - 1 deep, so equality,
     hashing and repr walk the tree with an explicit stack instead of the
     dataclass methods, which recurse once per level.  They mean what the
-    dataclass methods mean, and repr gives the same text.
+    dataclass methods mean, and repr gives the same text.  Pickling and
+    copying go through __reduce__, which flattens the tree likewise.
     """
 
     left: "VerbPhrase"
@@ -113,6 +114,32 @@ class ConcatVerb:
                 parts.append(item)
         return "".join(parts)
 
+    def __reduce__(self):
+        """The tree in postfix order: each composite's left subtree, noun
+        phrase and right subtree, then its class; _from_postfix rebuilds
+        it."""
+        items = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, ConcatVerb):
+                stack += (item.__class__, item.right, item.via, item.left)
+            else:
+                items.append(item)
+        return _from_postfix, (tuple(items),)
+
+
+def _from_postfix(items: tuple) -> ConcatVerb:
+    """The composite that ConcatVerb.__reduce__ flattened into `items`."""
+    built = []
+    for item in items:
+        if isinstance(item, type):
+            right, via, left = built.pop(), built.pop(), built.pop()
+            built.append(item(left, via, right))
+        else:
+            built.append(item)
+    return built[0]
+
 
 _COMBINE = object()  # ConcatVerb.__hash__: combine the last three hashes
 
@@ -131,26 +158,33 @@ def read_verb(v: VerbPhrase) -> str:
     """The reading of v; a composite reads "V1 N2, which V2".
 
     Composites are walked with an explicit stack, not by recursion, so a
-    path of any length reads.
+    path of any length reads.  An atomic verb returns its text before
+    the walk, and the walk tests the exact classes before isinstance,
+    which still reads subclasses.
     """
-    if isinstance(v, AtomicVerb):
+    if v.__class__ is AtomicVerb:
         return v.text
     parts = []
     stack: list = [v]  # verbs still to read, and the text between them
     while stack:
         item = stack.pop()
-        if isinstance(item, ConcatVerb):
-            stack += (item.right, f" {item.via}, which ", item.left)
+        cls = item.__class__
+        if cls is str:
+            parts.append(item)  # the text between two verbs
+        elif cls is AtomicVerb:
+            parts.append(item.text)
+        elif cls is ConcatVerb or isinstance(item, ConcatVerb):
+            stack += (item.right, f" {item.via.text}, which ", item.left)
         elif isinstance(item, AtomicVerb):
             parts.append(item.text)
         elif isinstance(item, UnitVerb):
             parts.append("is of course")
         else:
-            parts.append(item)  # the text between two verbs
+            parts.append(item)  # not a verb phrase: join refuses it
     return "".join(parts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Sentence:
     subject: NounPhrase
     verb: VerbPhrase
@@ -158,7 +192,7 @@ class Sentence:
 
 
 def read_sentence(s: Sentence) -> str:
-    return f"{s.subject} {read_verb(s.verb)} {s.obj}"
+    return f"{s.subject.text} {read_verb(s.verb)} {s.obj.text}"
 
 
 def read_equivalence(s1: Sentence, s2: Sentence) -> str:
@@ -171,8 +205,8 @@ def read_equivalence(s1: Sentence, s2: Sentence) -> str:
         raise ShapeMismatch("equivalent sentences must share subject and object")
     return (
         f"For any {s1.subject.bare()} x, "
-        f"we know that x {read_verb(s1.verb)} {s1.obj}, that we call y1, "
-        f"and we know that x {read_verb(s2.verb)} {s2.obj}, that we call y2; "
+        f"we know that x {read_verb(s1.verb)} {s1.obj.text}, that we call y1, "
+        f"and we know that x {read_verb(s2.verb)} {s2.obj.text}, that we call y2; "
         f"and the fact is, y1 and y2 are the same for any x."
     )
 

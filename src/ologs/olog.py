@@ -22,13 +22,13 @@ from .language import (
 from .report import ValidationReport
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TypeLabel:
     noun: NounPhrase
     authors: AuthorSet
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AspectLabel:
     verb: VerbPhrase
     authors: AuthorSet

@@ -1,0 +1,139 @@
+"""Interleaved A/B timing of two checkouts of `ologs` in one process.
+
+    python3 tools/ab.py OLD_CHECKOUT NEW_CHECKOUT --workload schema-scale
+    python3 tools/ab.py ../parent . --workload all --seed 11 --rounds 30
+
+Each checkout's `src/ologs` is imported under its own package name, so
+both run in this process on the same inputs.  The inputs are the
+workload's round from `perfbench/workloads.py` of the checkout holding
+this script, written once to a temporary directory; `perfbench/` is only
+read.  Every round runs the whole round of operations on both sides, the
+order alternating from round to round, so a drift of the host's speed
+falls on both alike.  Any difference in an `olog` call's exit code,
+stdout or stderr between the sides is an error (exit 1).
+
+For each workload it prints the median wall time of a round on each side
+and the median, over rounds, of NEW time / OLD time with its quartiles;
+a ratio below 1 means NEW is faster.  Stdlib only; nothing in `ologs`
+imports this script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import io
+import statistics
+import sys
+import tempfile
+import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def load_cli(checkout: Path, package: str):
+    """The `cli` module of `checkout/src/ologs`, imported as `package`."""
+    source = checkout / "src" / "ologs"
+    spec = importlib.util.spec_from_file_location(
+        package, source / "__init__.py",
+        submodule_search_locations=[str(source)])
+    if spec is None or not (source / "cli.py").is_file():
+        sys.exit(f"ab: no program at {source}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[package] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{package}.cli")
+
+
+def call(cli, argv: list[str]) -> tuple[int | None, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def run_round(cli, ops) -> tuple[float, list]:
+    """Wall seconds of the `olog` calls of one round, and their results.
+    Preparation and garbage collection are outside the timed region."""
+    total, results = 0.0, []
+    for op in ops:
+        if op.prepare is not None:
+            op.prepare()
+        gc.collect()
+        start = time.perf_counter()
+        outcome = [call(cli, argv) for argv in op.steps]
+        total += time.perf_counter() - start
+        results.append((op, outcome))
+    return total, results
+
+
+def first_difference(old: list, new: list) -> str | None:
+    for (op, a), (_, b) in zip(old, new):
+        for argv, x, y in zip(op.steps, a, b):
+            for what, u, v in zip(("exit code", "stdout", "stderr"), x, y):
+                if u != v:
+                    return (f"{op.variant} {' '.join(argv)}: {what} differs: "
+                            f"{str(u)[:200]!r} != {str(v)[:200]!r}")
+    return None
+
+
+def compare(workload, clis, seed: int, rounds: int, tiny: bool) -> bool:
+    sizes = workload.tiny if tiny else workload.sizes
+    with tempfile.TemporaryDirectory(prefix="ab-") as directory:
+        ops = workload.generate(Path(directory), seed, sizes)
+        for cli in clis:  # warm-up, untimed
+            run_round(cli, ops)
+        times: list[list[float]] = [[], []]
+        for r in range(rounds):
+            order = (0, 1) if r % 2 == 0 else (1, 0)
+            results = [None, None]
+            for side in order:
+                elapsed, results[side] = run_round(clis[side], ops)
+                times[side].append(elapsed)
+            difference = first_difference(*results)
+            if difference:
+                print(f"{workload.name}: round {r}: {difference}")
+                return False
+    ratios = [new / old for old, new in zip(*times)]
+    q1, median, q3 = statistics.quantiles(ratios, n=4)
+    print(f"{workload.name}: {rounds} rounds of {len(ops)} operations; "
+          f"round median OLD {1e3 * statistics.median(times[0]):.1f} ms, "
+          f"NEW {1e3 * statistics.median(times[1]):.1f} ms; "
+          f"NEW/OLD median {median:.3f} (quartiles {q1:.3f}-{q3:.3f})")
+    return True
+
+
+def main(argv=None) -> int:
+    sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    from workloads import WORKLOADS
+
+    parser = argparse.ArgumentParser(
+        prog="ab.py", description="Interleaved A/B timing of two checkouts.")
+    parser.add_argument("old", type=Path, help="checkout timed as OLD")
+    parser.add_argument("new", type=Path, help="checkout timed as NEW")
+    parser.add_argument("--workload", default="schema-scale",
+                        choices=[*WORKLOADS, "all"])
+    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--rounds", type=int, default=20,
+                        help="timed rounds per workload (default %(default)s)")
+    parser.add_argument("--tiny", action="store_true",
+                        help="the workloads' tiny sizes, for a quick check")
+    args = parser.parse_args(argv)
+    if args.rounds < 2:
+        parser.error("--rounds must be at least 2")
+    clis = [load_cli(args.old.resolve(), "ologs_old"),
+            load_cli(args.new.resolve(), "ologs_new")]
+    names = list(WORKLOADS) if args.workload == "all" else [args.workload]
+    ok = True
+    for name in names:
+        ok = compare(WORKLOADS[name], clis, args.seed, args.rounds,
+                     args.tiny) and ok
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
