@@ -172,11 +172,6 @@ class PathCategory:
         """Raise InvalidPath unless p is a composable run rooted in this category."""
         self.objects_along(p)
 
-    def path(self, source: str, arrows=()) -> Path:
-        p = Path(source, tuple(arrows))
-        self.check_path(p)
-        return p
-
     def target_of(self, p: Path) -> str:
         return self.objects_along(p)[-1]
 

@@ -9,6 +9,8 @@ for a generator.
 from __future__ import annotations
 
 import csv
+import errno
+import os
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
 
@@ -20,7 +22,7 @@ from .errors import (
     UnboundHeader,
     UnknownToken,
 )
-from .language import read_correspondence, read_sentence, read_verb
+from .language import correspondence_header, read_correspondence, read_sentence
 from .olog import Olog, generator_sentence
 from .report import ValidationReport
 
@@ -152,9 +154,7 @@ def type_header(o: Olog, obj: str) -> tuple[str, ...]:
 
 
 def generator_header(o: Olog, gen: str) -> tuple[str, ...]:
-    g = o.category.generator(gen)
-    verb = read_verb(o.aspect(gen).verb)
-    return (str(o.noun(g.source)), f"{verb} {o.noun(g.target)}, namely")
+    return correspondence_header(generator_sentence(o, gen))
 
 
 def _header_index(o: Olog) -> dict[tuple[str, ...], list[str]]:
@@ -292,6 +292,9 @@ def load_bundle(directory, o: Olog) -> Instance:
     their messages are those of `read_table_file` and `load_table`.
     """
     directory = FsPath(directory)
+    if not directory.is_dir():
+        code = errno.ENOTDIR if directory.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), str(directory))
     index = _header_index(o)
     objects = set(o.category.objects)
     gen_names = {g.name for g in o.category.generators}

@@ -62,11 +62,11 @@ class AtomicVerb:
 class ConcatVerb:
     """V1 then V2 through the noun phrase N2 between them.
 
-    A composite along a path of n arrows nests n - 1 deep, so equality,
-    hashing and repr walk the tree with an explicit stack instead of the
-    dataclass methods, which recurse once per level.  They mean what the
-    dataclass methods mean, and repr gives the same text.  Pickling and
-    copying go through __reduce__, which flattens the tree likewise.
+    A composite along a path of n arrows nests n - 1 deep, so the
+    dataclass methods, which recurse once per level, are replaced by
+    iterative ones.  Equality, hashing, pickling and copying all use the
+    flat postfix tuple of _postfix; repr walks the tree with its own
+    stack and gives the dataclass text.
     """
 
     left: "VerbPhrase"
@@ -76,30 +76,10 @@ class ConcatVerb:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if isinstance(a, ConcatVerb) and b.__class__ is a.__class__:
-                pairs += ((a.right, b.right), (a.via, b.via), (a.left, b.left))
-            elif not a == b:
-                return False
-        return True
+        return _postfix(self) == _postfix(other)
 
     def __hash__(self):
-        hashes = []  # of the finished subtrees, left to right
-        stack: list = [self]  # subtrees to hash, and the verbs to combine
-        while stack:
-            item = stack.pop()
-            if item is _COMBINE:
-                right, via, left = hashes.pop(), hashes.pop(), hashes.pop()
-                hashes.append(hash((left, via, right)))
-            elif isinstance(item, ConcatVerb):
-                stack += (_COMBINE, item.right, item.via, item.left)
-            else:
-                hashes.append(hash(item))
-        return hashes[0]
+        return hash(_postfix(self))
 
     def __repr__(self):
         parts = []
@@ -115,22 +95,28 @@ class ConcatVerb:
         return "".join(parts)
 
     def __reduce__(self):
-        """The tree in postfix order: each composite's left subtree, noun
-        phrase and right subtree, then its class; _from_postfix rebuilds
-        it."""
-        items = []
-        stack: list = [self]
-        while stack:
-            item = stack.pop()
-            if isinstance(item, ConcatVerb):
-                stack += (item.__class__, item.right, item.via, item.left)
-            else:
-                items.append(item)
-        return _from_postfix, (tuple(items),)
+        return _from_postfix, (_postfix(self),)
+
+
+def _postfix(v: ConcatVerb) -> tuple:
+    """The tree in postfix order: each composite's left subtree, noun
+    phrase and right subtree, then its class.
+
+    The class markers keep nesting and subclasses apart, so two verbs
+    are equal exactly when their postfix tuples are."""
+    items = []
+    stack: list = [v]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, ConcatVerb):
+            stack += (item.__class__, item.right, item.via, item.left)
+        else:
+            items.append(item)
+    return tuple(items)
 
 
 def _from_postfix(items: tuple) -> ConcatVerb:
-    """The composite that ConcatVerb.__reduce__ flattened into `items`."""
+    """The composite that _postfix flattened into `items`."""
     built = []
     for item in items:
         if isinstance(item, type):
@@ -139,9 +125,6 @@ def _from_postfix(items: tuple) -> ConcatVerb:
         else:
             built.append(item)
     return built[0]
-
-
-_COMBINE = object()  # ConcatVerb.__hash__: combine the last three hashes
 
 
 def _repr_part(v):
@@ -159,8 +142,7 @@ def read_verb(v: VerbPhrase) -> str:
 
     Composites are walked with an explicit stack, not by recursion, so a
     path of any length reads.  An atomic verb returns its text before
-    the walk, and the walk tests the exact classes before isinstance,
-    which still reads subclasses.
+    the walk.
     """
     if v.__class__ is AtomicVerb:
         return v.text
@@ -168,15 +150,12 @@ def read_verb(v: VerbPhrase) -> str:
     stack: list = [v]  # verbs still to read, and the text between them
     while stack:
         item = stack.pop()
-        cls = item.__class__
-        if cls is str:
+        if item.__class__ is str:
             parts.append(item)  # the text between two verbs
-        elif cls is AtomicVerb:
-            parts.append(item.text)
-        elif cls is ConcatVerb or isinstance(item, ConcatVerb):
-            stack += (item.right, f" {item.via.text}, which ", item.left)
         elif isinstance(item, AtomicVerb):
             parts.append(item.text)
+        elif isinstance(item, ConcatVerb):
+            stack += (item.right, f" {item.via.text}, which ", item.left)
         elif isinstance(item, UnitVerb):
             parts.append("is of course")
         else:
@@ -209,6 +188,12 @@ def read_equivalence(s1: Sentence, s2: Sentence) -> str:
         f"and we know that x {read_verb(s2.verb)} {s2.obj.text}, that we call y2; "
         f"and the fact is, y1 and y2 are the same for any x."
     )
+
+
+def correspondence_header(s: Sentence) -> tuple[str, str]:
+    """The header of s's table: the subject noun, then the verb reading and
+    object noun followed by ", namely"."""
+    return (s.subject.text, f"{read_verb(s.verb)} {s.obj.text}, namely")
 
 
 def read_correspondence(s: Sentence, x: str, y: str) -> str:

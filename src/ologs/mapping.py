@@ -21,7 +21,7 @@ from .category import (
     validate_functor,
 )
 from .errors import InvalidFunctor, SearchSpaceTooLarge
-from .language import AuthorSet, Sentence, UNIT, read_verb
+from .language import AuthorSet, Sentence, UNIT, correspondence_header
 from .olog import (
     AspectLabel,
     LinguisticStructure,
@@ -94,12 +94,10 @@ def cartesian_morphism(f: CatFunctor, target_olog: Olog) -> OlogMorphism:
     }
     square_authors = {}
     for g in f.source.generators:
-        image = f.apply(Path(g.source, (g.name,)))
         square_authors[g.name] = (
             pulled.aspect(g.name).authors
             & components[g.target].authors
             & components[g.source].authors
-            & derived_authors(target_olog, image)
         )
     return OlogMorphism(pulled, target_olog, f, components, square_authors)
 
@@ -171,12 +169,7 @@ def correspondence_pairs(table: InstanceTable) -> frozenset[tuple[str, str]]:
 
 def component_table_header(m: OlogMorphism, obj: str) -> tuple[str, str]:
     """Header convention for a component's correspondence table."""
-    comp = m.components[obj]
-    dst_noun = m.target.noun(m.functor.apply_object(obj))
-    return (
-        str(m.source.noun(obj)),
-        f"{read_verb(comp.verb)} {dst_noun}, namely",
-    )
+    return correspondence_header(m.component_sentence(obj))
 
 
 @dataclass
