@@ -19,6 +19,7 @@ from .dsl import (
     load_olog,
     morphism_from_document,
     parse_mapping,
+    read_text,
     serialize_olog,
 )
 from .errors import OlogError, ParseError
@@ -33,7 +34,6 @@ from .language import read_equivalence, read_sentence
 from .mapping import (
     DEFAULT_SEARCH_LIMIT,
     InstanceMorphism,
-    check_conformance,
     check_naturality,
     component_table_header,
     correspondence_pairs,
@@ -54,14 +54,21 @@ def _emit(report: ValidationReport, as_json: bool) -> int:
     return 0 if report.ok else 1
 
 
-def _load_mapping(path: str):
-    map_path = FsPath(path)
-    with open(map_path, encoding="utf-8") as handle:
-        doc = parse_mapping(handle.read())
-    base = map_path.parent
-    source = load_olog(base / doc.source_ref)
-    target = load_olog(base / doc.target_ref)
-    return doc, base, morphism_from_document(doc, source, target)
+def _checked_mapping(path: str, bound: int = DEFAULT_BOUND):
+    """Read a map, load both ologs and build the morphism; then validate
+    both ologs and, if they pass, the linguistic functor between them."""
+    doc = parse_mapping(read_text(path))
+    for side, ref in (("source", doc.source_ref), ("target", doc.target_ref)):
+        if not ref:
+            raise OlogError(f"{path}: no {side} line")
+    base = FsPath(path).parent
+    m = morphism_from_document(doc, load_olog(base / doc.source_ref),
+                               load_olog(base / doc.target_ref))
+    report = validate_olog(m.source)
+    report.extend(validate_olog(m.target))
+    if report.ok:
+        report = validate_linguistic_functor(m, bound)
+    return doc, base, m, report
 
 
 def _load_correspondences(doc: MappingDocument, base: FsPath, m) -> dict:
@@ -118,15 +125,6 @@ def cmd_check_instance(args) -> int:
     return _emit(report, args.json)
 
 
-def _validate_mapping(m, bound: int) -> ValidationReport:
-    """Both ologs, then the linguistic functor between them."""
-    report = validate_olog(m.source)
-    report.extend(validate_olog(m.target))
-    if report.ok:
-        report = validate_linguistic_functor(m, bound)
-    return report
-
-
 def _load_data(args, m):
     """Load both bundles and check their tables are total and in range."""
     i = load_bundle(args.src_data, m.source)
@@ -142,8 +140,7 @@ def cmd_check_mapping(args) -> int:
         print("error: --src-data and --dst-data must be given together",
               file=sys.stderr)
         return 2
-    doc, base, m = _load_mapping(args.map_file)
-    report = _validate_mapping(m, args.bound)
+    doc, base, m, report = _checked_mapping(args.map_file, args.bound)
     if report.ok and with_data:
         i, j, data_report = _load_data(args, m)
         report.extend(data_report)
@@ -164,14 +161,11 @@ def cmd_check_mapping(args) -> int:
         if report.ok:
             p = InstanceMorphism(i, j, m, components, correspondences)
             report.extend(check_naturality(p))
-            if report.ok:
-                report.extend(check_conformance(p))
     return _emit(report, args.json)
 
 
 def cmd_pullback(args) -> int:
-    doc, _, m = _load_mapping(args.map_file)
-    report = _validate_mapping(m, DEFAULT_BOUND)
+    doc, _, m, report = _checked_mapping(args.map_file)
     if not report.ok:
         return _emit(report, args.json)
     pulled = pullback_olog(m.functor, m.target, f"{doc.name}.pullback")
@@ -181,8 +175,7 @@ def cmd_pullback(args) -> int:
 
 
 def cmd_migrate(args) -> int:
-    _, _, m = _load_mapping(args.map_file)
-    report = _validate_mapping(m, DEFAULT_BOUND)
+    _, _, m, report = _checked_mapping(args.map_file)
     if not report.ok:
         return _emit(report, args.json)
     j = load_bundle(args.dst_data, m.target)
@@ -195,8 +188,7 @@ def cmd_migrate(args) -> int:
 
 
 def cmd_search_conforming(args) -> int:
-    doc, base, m = _load_mapping(args.map_file)
-    report = _validate_mapping(m, DEFAULT_BOUND)
+    doc, base, m, report = _checked_mapping(args.map_file)
     if not report.ok:
         return _emit(report, args.json)
     i, j, report = _load_data(args, m)
@@ -204,23 +196,24 @@ def cmd_search_conforming(args) -> int:
         return _emit(report, args.json)
     correspondences = _load_correspondences(doc, base, m)
     count, survivors = search_conforming(m, i, j, correspondences, args.limit)
+    listings = [
+        [f"{obj}: {x} -> {y}"
+         for obj, function in sorted(morphism.component_functions.items())
+         for x, y in sorted(function.items())]
+        for morphism in survivors
+    ]
     if args.json:
         findings = [{"code": "candidates", "message": str(count)},
                     {"code": "conforming", "message": str(len(survivors))}]
-        for morphism in survivors:
-            parts = []
-            for obj in sorted(morphism.component_functions):
-                for x, y in sorted(morphism.component_functions[obj].items()):
-                    parts.append(f"{obj}: {x} -> {y}")
-            findings.append({"code": "morphism", "message": "; ".join(parts)})
+        findings += [{"code": "morphism", "message": "; ".join(parts)}
+                     for parts in listings]
         print(json.dumps({"ok": True, "findings": findings}))
     else:
         print(f"candidates: {count}")
-        for index, morphism in enumerate(survivors, start=1):
+        for index, parts in enumerate(listings, start=1):
             print(f"morphism {index}:")
-            for obj in sorted(morphism.component_functions):
-                for x, y in sorted(morphism.component_functions[obj].items()):
-                    print(f"  {obj}: {x} -> {y}")
+            for part in parts:
+                print(f"  {part}")
         print(f"conforming: {len(survivors)}")
     return 0
 

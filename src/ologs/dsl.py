@@ -50,7 +50,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .category import Equation, Generator, Path, PathCategory
+from .category import CatFunctor, Equation, Generator, Path, PathCategory
 from .errors import (
     BadVerbPhrase,
     DanglingReference,
@@ -60,6 +60,7 @@ from .errors import (
     UnknownGenerator,
 )
 from .language import AtomicVerb, NounPhrase, UNIT, read_verb
+from .mapping import OlogMorphism
 from .olog import AspectLabel, LinguisticStructure, Olog, TypeLabel
 
 # Unrolled: runs of word characters other than '-', each '-' not
@@ -486,9 +487,17 @@ def document_from_olog(o: Olog) -> OlogDocument:
     return doc
 
 
-def load_olog(path) -> Olog:
+def read_text(path) -> str:
+    """A document's text; a file that is not UTF-8 is a ValueError naming it."""
     with open(path, encoding="utf-8") as handle:
-        return olog_from_document(parse_olog(handle.read()))
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def load_olog(path) -> Olog:
+    return olog_from_document(parse_olog(read_text(path)))
 
 
 @dataclass
@@ -627,9 +636,6 @@ def serialize_mapping(doc: MappingDocument) -> str:
 
 def morphism_from_document(doc: MappingDocument, source: Olog, target: Olog):
     """Build the olog morphism against already-loaded endpoint ologs."""
-    from .category import CatFunctor
-    from .mapping import OlogMorphism
-
     src_objects = set(source.category.objects)
     dst_objects = set(target.category.objects)
     for src, dst in doc.object_map.items():

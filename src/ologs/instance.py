@@ -217,7 +217,7 @@ def read_table_file(path) -> InstanceTable:
     with open(path, newline="", encoding="utf-8") as handle:
         try:
             rows = list(map(tuple, filter(None, csv.reader(handle))))
-        except csv.Error as exc:
+        except (csv.Error, UnicodeDecodeError) as exc:
             raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty table file")

@@ -324,11 +324,8 @@ def check_co_instantiated(
     on their tables (check_totality), or MissingMapping is raised.
     """
     src = m.source
-    identity = OlogMorphism(
-        src, src, identity_functor(src.category),
-        {c: AspectLabel(UNIT, src.type_authors(c))
-         for c in src.category.objects},
-    )
+    # Naturality and conformance read only its functor and source category.
+    identity = OlogMorphism(src, src, identity_functor(src.category), {})
     q = InstanceMorphism(pullback_instance(m.functor, j), i, identity,
                          q_components, correspondences)
     report = check_naturality(q)
