@@ -24,13 +24,14 @@ from .dsl import (
 )
 from .errors import OlogError, ParseError
 from .instance import (
+    _load_plain,
     check_totality,
     load_bundle,
     read_table_file,
     validate_instance,
     write_bundle,
 )
-from .language import read_equivalence, read_sentence
+from .language import read_fact_lines, read_sentence
 from .mapping import (
     DEFAULT_SEARCH_LIMIT,
     InstanceMorphism,
@@ -59,6 +60,8 @@ def _checked_mapping(path: str, bound: int = DEFAULT_BOUND):
     both ologs and, if they pass, the linguistic functor between them."""
     doc = parse_mapping(read_text(path))
     for side, ref in (("source", doc.source_ref), ("target", doc.target_ref)):
+        if side in doc.endpoint_lines and not ref:
+            raise OlogError(f"{path}: empty {side} reference")
         if not ref:
             raise OlogError(f"{path}: no {side} line")
     base = FsPath(path).parent
@@ -72,10 +75,16 @@ def _checked_mapping(path: str, bound: int = DEFAULT_BOUND):
 
 
 def _load_correspondences(doc: MappingDocument, base: FsPath, m) -> dict:
+    """Each component's declared pairs, read by `_load_plain` against the
+    one expected header, or else, with every error, by `read_table_file`."""
     tables = {}
     for obj, rel in doc.tables.items():
-        table = read_table_file(base / rel)
         expected = component_table_header(m, obj)
+        plain = _load_plain(base / rel, {expected: [obj]}, pairs=True)
+        if plain is not None:
+            tables[obj] = plain[2]
+            continue
+        table = read_table_file(base / rel)
         if table.header != expected:
             raise OlogError(
                 f"{rel}: header {table.header!r} does not match the "
@@ -97,11 +106,10 @@ def cmd_read(args) -> int:
         lines.append(("sentence", read_sentence(generator_sentence(olog, g.name))))
     if args.facts:
         for eq in olog.category.equations:
-            left = derived_sentence(olog, eq.left)
-            right = derived_sentence(olog, eq.right)
-            lines.append(("sentence", read_sentence(left)))
-            lines.append(("sentence", read_sentence(right)))
-            lines.append(("fact", read_equivalence(left, right)))
+            left, right, fact = read_fact_lines(
+                derived_sentence(olog, eq.left),
+                derived_sentence(olog, eq.right))
+            lines += (("sentence", left), ("sentence", right), ("fact", fact))
     if args.json:
         # Readings are not findings: the report is ok.
         findings = [{"code": code, "message": message}
@@ -149,15 +157,15 @@ def cmd_check_mapping(args) -> int:
         correspondences = _load_correspondences(doc, base, m)
         components = {}
         for obj, pairs in correspondences.items():
-            mapping = {}
-            for x, y in sorted(pairs):
-                if x in mapping:
-                    report.add(
-                        "ambiguous-correspondence",
-                        f"table at {obj!r} declares two partners for {x!r}",
-                    )
-                mapping[x] = y
-            components[obj] = mapping
+            components[obj] = dict(pairs)
+            if len(components[obj]) != len(pairs):  # a key repeats
+                keys = sorted(x for x, _ in pairs)
+                for x, before in zip(keys[1:], keys):
+                    if x == before:
+                        report.add(
+                            "ambiguous-correspondence",
+                            f"table at {obj!r} declares two partners "
+                            f"for {x!r}")
         if report.ok:
             p = InstanceMorphism(i, j, m, components, correspondences)
             report.extend(check_naturality(p))

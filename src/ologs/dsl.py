@@ -510,6 +510,9 @@ class MappingDocument:
     components: dict[str, tuple[str, tuple[str, ...]]] = field(default_factory=dict)
     squares: dict[str, tuple[str, ...]] = field(default_factory=dict)
     tables: dict[str, str] = field(default_factory=dict)
+    # The endpoint keywords with a line, so `source ""` is not "no line".
+    endpoint_lines: frozenset[str] = field(default=frozenset(),
+                                           compare=False, repr=False)
 
 
 def _mapping_entry(lp: _LineParser) -> tuple[str, str, object]:
@@ -609,6 +612,7 @@ def parse_mapping(text: str) -> MappingDocument:
             line.end()
     doc.source_ref = refs.get("source", "")
     doc.target_ref = refs.get("target", "")
+    doc.endpoint_lines = frozenset(refs)
     return doc
 
 

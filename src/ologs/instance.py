@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import io
 import os
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
@@ -45,28 +46,36 @@ class Instance:
     def has_token(self, obj: str, token: str) -> bool:
         return token in self._token_sets.get(obj, ())
 
+    def has_tokens(self, obj: str, tokens) -> bool:
+        """Whether every one of `tokens` is a token at obj."""
+        return self._token_sets.get(obj, frozenset()).issuperset(tokens)
+
     def function(self, gen: str) -> dict[str, str]:
         self.olog.category.generator(gen)  # raises UnknownGenerator
         return self.functions.get(gen, {})
 
 
-def _compose(inst: Instance, p: Path, table: dict[str, str]) -> dict[str, str]:
-    """Follow `table` by the token functions along p, arrow by arrow."""
+def _compose(inst: Instance, p: Path, values) -> list[str]:
+    """Follow `values` by the token functions along p: one C-level `map`
+    over the whole list per arrow.  MissingMapping names the first value,
+    in list order, that a function lacks."""
+    values = list(values)
     for gen in p.arrows:
         mapping = inst.functions.get(gen, {})
         try:
-            table = {x: mapping[y] for x, y in table.items()}
+            values = list(map(mapping.__getitem__, values))
         except KeyError as exc:
             raise MissingMapping(
                 f"token function of {gen!r} has no entry for {exc.args[0]!r}"
             ) from None
-    return table
+    return values
 
 
 def path_table(inst: Instance, p: Path) -> dict[str, str]:
     """The composite token function of p, on every token at p.source."""
     inst.olog.category.check_path(p)
-    return _compose(inst, p, {x: x for x in inst.token_set(p.source)})
+    tokens = inst.token_set(p.source)
+    return dict(zip(tokens, _compose(inst, p, tokens)))
 
 
 def evaluate_path(inst: Instance, p: Path, token: str) -> str:
@@ -74,19 +83,17 @@ def evaluate_path(inst: Instance, p: Path, token: str) -> str:
     inst.olog.category.check_path(p)
     if not inst.has_token(p.source, token):
         raise UnknownToken(f"{token!r} is not a token at {p.source!r}")
-    return _compose(inst, p, {token: token})[token]
+    return _compose(inst, p, (token,))[0]
 
 
 def check_totality(inst: Instance) -> ValidationReport:
     """Check that every token function is total on its source tokens and
     maps declared tokens to declared tokens."""
     report = ValidationReport()
-    sets = inst._token_sets
     for g in inst.olog.category.generators:
         mapping = inst.functions.get(g.name, {})
-        if (mapping.keys() == sets.get(g.source, frozenset())
-                and sets.get(g.target, frozenset()).issuperset(
-                    mapping.values())):
+        if (mapping.keys() == inst._token_sets.get(g.source, frozenset())
+                and inst.has_tokens(g.target, mapping.values())):
             continue  # total and in range: the loop below finds nothing
         for x in inst.token_set(g.source):
             if x not in mapping:
@@ -107,20 +114,25 @@ def validate_instance(inst: Instance) -> ValidationReport:
     """Check totality, single-valuedness of ranges, and every declared fact.
 
     A fact holds when its two sides have equal path tables: the composite
-    token functions agree on every token of the shared source.
+    token functions agree on every token of the shared source.  The two
+    sides' value lists are compared whole; only a fact whose lists differ
+    is walked token by token, for its findings in token order.
     """
     report = check_totality(inst)
     if not report.ok:
         return report
     for eq in inst.olog.category.equations:
-        left = path_table(inst, eq.left)
-        right = path_table(inst, eq.right)
-        for x in inst.token_set(eq.left.source):
-            if left[x] != right[x]:
+        tokens = inst.token_set(eq.left.source)
+        left = _compose(inst, eq.left, tokens)
+        right = _compose(inst, eq.right, tokens)
+        if left == right:
+            continue
+        for x, y1, y2 in zip(tokens, left, right):
+            if y1 != y2:
                 report.add(
                     "fact-violation",
                     f"equation {eq.name!r} fails on token {x!r}: "
-                    f"{left[x]!r} != {right[x]!r}",
+                    f"{y1!r} != {y2!r}",
                 )
     return report
 
@@ -225,13 +237,27 @@ def read_table_file(path) -> InstanceTable:
 
 
 def write_table_file(path, table: InstanceTable) -> None:
+    """Write what `csv.writer(lineterminator="\\n")` writes, in one `write`.
+    The header goes through `csv.writer`; so do the rows, unless their
+    comma-and-newline join shows that no field needs quoting: no quote,
+    carriage return or NUL, the comma and newline counts of plain rows,
+    and no empty field in a one-column table."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(table.header)
+    rows, width = table.rows, len(table.header)
+    body = "\n".join(map(",".join, rows)) + "\n"
+    if ('"' in body or "\r" in body or "\0" in body
+            or body.count(",") != len(rows) * (width - 1)
+            or body.count("\n") != len(rows)
+            or width == 1 and (body.startswith("\n") or "\n\n" in body)):
+        writer.writerows(rows)
+        body = ""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(table.header)
-        writer.writerows(table.rows)
+        handle.write(buffer.getvalue() + body)
 
 
-def _load_plain(path, index: dict):
+def _load_plain(path, index: dict, pairs: bool = False):
     """What `_bind(read_table_file(path), index)` returns, read by bulk
     string splits, or None where that takes more than splits to decide.
 
@@ -241,7 +267,8 @@ def _load_plain(path, index: dict):
     blank line, no field over `csv.field_size_limit()`, one comma per
     line of a two-column table, and no repeated token or key.  Every
     other table, and every error, is left to `read_table_file` and
-    `_bind`.
+    `_bind`.  With `pairs`, a two-column table is read as the frozenset
+    of its rows, as `correspondence_pairs` reads it, and a key may repeat.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -261,10 +288,12 @@ def _load_plain(path, index: dict):
     else:
         fields = lines.replace(",", "\n").split("\n") if body else []
         keys, values = fields[0::2], fields[1::2]
-        content = dict(zip(keys, values))
+        content = (frozenset if pairs else dict)(zip(keys, values))
+        # Refused: a line without exactly one comma, or a repeated key (a
+        # repeated row, when read as pairs).
         if ("\n".join(map(",".join, zip(keys, values))) != lines
                 or len(content) != len(keys)):
-            return None  # a line without exactly one comma, or a repeated key
+            return None
     # A field over the limit holds a whole aligned block of `half`
     # characters, so the fields are measured only when some block has no
     # separator.
@@ -286,10 +315,12 @@ def load_bundle(directory, o: Olog) -> Instance:
     up in one index of every type's and aspect's header, built once per
     call, and an aspect table becomes its token function in one `dict`
     call, so a bundle costs time linear in its rows, not rows times the
-    olog's size.  A plain table (see `_load_plain`) is split with `str`
-    methods instead of `csv.reader`; any other table goes through
-    `read_table_file` and `_bind`, which raise every error, so errors and
-    their messages are those of `read_table_file` and `load_table`.
+    olog's size.  A plain table (see `_load_plain`) is split whole, by
+    `str` methods, instead of row by row by `csv.reader`; any other table
+    goes through `read_table_file` and `_bind`, which raise every error,
+    so errors and their messages are those of `read_table_file` and
+    `load_table`.  The checks then compose and compare whole tables too
+    (see `_compose`).
     """
     directory = FsPath(directory)
     if not directory.is_dir():

@@ -180,13 +180,22 @@ def read_equivalence(s1: Sentence, s2: Sentence) -> str:
     The subject keeps its bare noun after "For any", matching how such
     readings are conventionally printed ("For any integer x, ...").
     """
+    return read_fact_lines(s1, s2)[2]
+
+
+def read_fact_lines(s1: Sentence, s2: Sentence) -> tuple[str, str, str]:
+    """The readings of s1, of s2 and of their equivalence, from one
+    reading of each verb."""
     if s1.subject != s2.subject or s1.obj != s2.obj:
         raise ShapeMismatch("equivalent sentences must share subject and object")
+    v1, v2 = read_verb(s1.verb), read_verb(s2.verb)
     return (
+        f"{s1.subject.text} {v1} {s1.obj.text}",
+        f"{s2.subject.text} {v2} {s2.obj.text}",
         f"For any {s1.subject.bare()} x, "
-        f"we know that x {read_verb(s1.verb)} {s1.obj.text}, that we call y1, "
-        f"and we know that x {read_verb(s2.verb)} {s2.obj.text}, that we call y2; "
-        f"and the fact is, y1 and y2 are the same for any x."
+        f"we know that x {v1} {s1.obj.text}, that we call y1, "
+        f"and we know that x {v2} {s2.obj.text}, that we call y2; "
+        f"and the fact is, y1 and y2 are the same for any x.",
     )
 
 

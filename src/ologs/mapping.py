@@ -182,27 +182,36 @@ class InstanceMorphism:
 
 
 def naturality_squares(m: OlogMorphism, i: Instance, j: Instance):
-    """Yield (g, F(g), x, g(x)) for each generator g and token x at g.source.
+    """Yield (g, F(g), xs, gxs) for each generator g: the tokens xs at
+    g.source and their values gxs under g, in token order.
 
     F(g) comes as its path table on j, computed once per generator.
     Components p make the square commute when F(g)[p(x)] == p(g(x)).
     """
     for g in m.source.category.generators:
         image = path_table(j, m.functor.apply(Path(g.source, (g.name,))))
-        values = i.function(g.name)
-        for x in i.token_set(g.source):
-            yield g, image, x, values[x]
+        xs = i.token_set(g.source)
+        yield g, image, xs, list(map(i.function(g.name).__getitem__, xs))
 
 
 def check_naturality(p: InstanceMorphism) -> ValidationReport:
-    """Check totality of components and every naturality square on tokens."""
+    """Check totality of components and every naturality square on tokens.
+
+    Each component, and each square's two value lists F(g)(p(x)) and
+    p(g(x)), is compared whole; only one that fails is walked token by
+    token, so findings come in token order.
+    """
     report = ValidationReport()
     m = p.over
     i, j = p.source, p.target
     for c in m.source.category.objects:
         comp = p.component_functions.get(c, {})
         fc = m.functor.apply_object(c)
-        for x in i.token_set(c):
+        xs = i.token_set(c)
+        if comp.keys() >= set(xs) and j.has_tokens(
+                fc, map(comp.__getitem__, xs)):
+            continue
+        for x in xs:
             if x not in comp:
                 report.add("component-totality",
                            f"component at {c!r} has no value for {x!r}")
@@ -213,12 +222,18 @@ def check_naturality(p: InstanceMorphism) -> ValidationReport:
     if not report.ok:
         return report
     comps = p.component_functions
-    for g, image, x, gx in naturality_squares(m, i, j):
-        if image[comps[g.source][x]] != comps[g.target][gx]:
-            report.add(
-                "naturality-violation",
-                f"square at generator {g.name!r} fails on token {x!r}",
-            )
+    for g, image, xs, gxs in naturality_squares(m, i, j):
+        left = list(map(image.__getitem__,
+                        map(comps.get(g.source, {}).__getitem__, xs)))
+        right = list(map(comps.get(g.target, {}).__getitem__, gxs))
+        if left == right:
+            continue
+        for x, y1, y2 in zip(xs, left, right):
+            if y1 != y2:
+                report.add(
+                    "naturality-violation",
+                    f"square at generator {g.name!r} fails on token {x!r}",
+                )
     return report
 
 
@@ -276,9 +291,10 @@ def search_conforming(
     # (position of x, position of g(x), F(g) tabulated on the target).
     position = {var: k for k, var in enumerate(variables)}
     checks = [[] for _ in variables]
-    for g, image, x, gx in naturality_squares(m, i, j):
-        a, b = position[(g.source, x)], position[(g.target, gx)]
-        checks[max(a, b)].append((a, b, image))
+    for g, image, xs, gxs in naturality_squares(m, i, j):
+        for x, gx in zip(xs, gxs):
+            a, b = position[(g.source, x)], position[(g.target, gx)]
+            checks[max(a, b)].append((a, b, image))
 
     survivors = []
     values = [None] * len(variables)

@@ -10,7 +10,9 @@ this script, written once to a temporary directory; `perfbench/` is only
 read.  Every round runs the whole round of operations on both sides, the
 order alternating from round to round, so a drift of the host's speed
 falls on both alike.  Any difference in an `olog` call's exit code,
-stdout or stderr between the sides is an error (exit 1).
+stdout or stderr between the sides is an error (exit 1), and so is any
+difference in the files the call wrote under its `--out` path: their
+paths relative to it, and their bytes.
 
 For each workload it prints the median wall time of a round on each side
 and the median, over rounds, of NEW time / OLD time with its quartiles;
@@ -55,17 +57,34 @@ def call(cli, argv: list[str]) -> tuple[int | None, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def written(argv: list[str]) -> dict[str, bytes]:
+    """The bytes of every file under the call's `--out` path, by path
+    relative to it; a file named by `--out` itself goes by its name."""
+    if "--out" not in argv[:-1]:
+        return {}
+    out = Path(argv[argv.index("--out") + 1])
+    if out.is_file():
+        return {out.name: out.read_bytes()}
+    return {path.relative_to(out).as_posix(): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
 def run_round(cli, ops) -> tuple[float, list]:
-    """Wall seconds of the `olog` calls of one round, and their results.
-    Preparation and garbage collection are outside the timed region."""
+    """Wall seconds of the `olog` calls of one round, and their results:
+    exit code, stdout, stderr and written files.  Preparation, reading
+    the written files and garbage collection are outside the timed
+    region."""
     total, results = 0.0, []
     for op in ops:
         if op.prepare is not None:
             op.prepare()
         gc.collect()
-        start = time.perf_counter()
-        outcome = [call(cli, argv) for argv in op.steps]
-        total += time.perf_counter() - start
+        outcome = []
+        for argv in op.steps:
+            start = time.perf_counter()
+            result = call(cli, argv)
+            total += time.perf_counter() - start
+            outcome.append((*result, written(argv)))
         results.append((op, outcome))
     return total, results
 
@@ -73,10 +92,15 @@ def run_round(cli, ops) -> tuple[float, list]:
 def first_difference(old: list, new: list) -> str | None:
     for (op, a), (_, b) in zip(old, new):
         for argv, x, y in zip(op.steps, a, b):
+            where = f"{op.variant} {' '.join(argv)}"
             for what, u, v in zip(("exit code", "stdout", "stderr"), x, y):
                 if u != v:
-                    return (f"{op.variant} {' '.join(argv)}: {what} differs: "
+                    return (f"{where}: {what} differs: "
                             f"{str(u)[:200]!r} != {str(v)[:200]!r}")
+            files_x, files_y = x[3], y[3]
+            for name in sorted(files_x.keys() | files_y.keys()):
+                if files_x.get(name) != files_y.get(name):
+                    return f"{where}: written file {name} differs"
     return None
 
 
