@@ -25,10 +25,10 @@ One lexical grammar serves both readers: a word is a maximal run of
 characters that are not whitespace, punctuation, '"' or '#', and not
 the start of "->"; a string may hold \\" and \\\\ escapes; '#' outside a
 string starts a comment.  The tokenizer and the line patterns are
-built from the same regex pieces for these rules.  The word piece is
-written as an unrolled loop -- runs of word characters other than '-',
-joined by hyphens that do not start "->" -- so the regex engine scans a
-run in one step instead of trying an alternation at every character.
+built from the same regex pieces for these rules, but the line patterns
+read a word as a plain run of those characters, which the regex engine
+scans in one step; a line whose word, author-list or path group holds
+"->" goes to the token parser.
 
 Every line is matched or tokenized before any is parsed.  A
 well-formed declaration line after the header -- type, aspect or fact
@@ -41,11 +41,14 @@ line -- headers, comments, identity paths with more ids such as
 produces every ParseError.  Both readings of a mapping line give the
 same (keyword, key, value), and one loop checks duplicates and stores
 them, so a DuplicateId comes before a later line's ParseError exactly
-as when the token parser reads every line.
+as when the token parser reads every line.  An author-list text is
+split once (the split is cached), and an olog shares one frozenset per
+distinct author list.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -269,32 +272,30 @@ def _declaration(lp: _LineParser) -> TypeDecl | AspectDecl | FactDecl:
     lp.fail("'type', 'aspect', or 'fact'")
 
 
-# One pattern per olog declaration kind, built from the tokenizer's pieces.
+# One pattern per olog declaration kind, built from the tokenizer's
+# pieces.  A word is a plain _RUN; one that holds "->" is not a word.
+_RUN = r'[^\s{}\[\],;:=~"#]+'
 _TAIL = rf"\s*(?:{_COMMENT})?"
-_AUTHORS = rf"by\s*\{{\s*((?:{_WORD}(?:\s*,\s*{_WORD})*)?)\s*\}}{_TAIL}"
+_AUTHORS = rf"by\s*\{{\s*((?:{_RUN}(?:\s*,\s*{_RUN})*)?)\s*\}}{_TAIL}"
 # A path that starts [1 ; is left to the token parser, which rejects it.
-_PATH = rf"\[\s*(?!1\s*;)({_WORD}(?:\s*;\s*{_WORD})*)\s*\]"
+_PATH = rf"\[\s*(?!1\s*;)({_RUN}(?:\s*;\s*{_RUN})*)\s*\]"
 _LINE_PATTERNS = {
     "type": re.compile(
-        rf"\s*type\s+({_WORD})\s*=\s*{_STRING}\s*{_AUTHORS}", re.S),
+        rf"\s*type\s+({_RUN})\s*=\s*{_STRING}\s*{_AUTHORS}", re.S),
     "aspect": re.compile(
-        rf"\s*aspect\s+({_WORD})\s*:\s*({_WORD})\s*->\s*({_WORD})\s*=\s*"
+        rf"\s*aspect\s+({_RUN})\s*:\s*({_RUN})\s*->\s*({_RUN})\s*=\s*"
         rf"{_STRING}\s*{_AUTHORS}", re.S),
     "fact": re.compile(
-        rf"\s*fact\s+({_WORD})\s*:\s*{_PATH}\s*~\s*{_PATH}\s*{_AUTHORS}",
+        rf"\s*fact\s+({_RUN})\s*:\s*{_PATH}\s*~\s*{_PATH}\s*{_AUTHORS}",
         re.S),
 }
 
 
-def _ids(text: str, separator: str = ",") -> tuple[str, ...]:
-    """The ids of a matched author or path list.  A word holds no
+def _path(text: str) -> tuple[str, ...] | None:
+    """The ids of a matched path list; None for [1].  A word holds no
     whitespace, ',' or ';', and str.split splits at exactly the
     characters that \\s matches."""
-    return tuple(text.replace(separator, " ").split())
-
-
-def _path(text: str) -> tuple[str, ...] | None:
-    ids = _ids(text, ";")
+    ids = tuple(text.replace(";", " ").split())
     return None if ids == ("1",) else ids
 
 
@@ -308,13 +309,20 @@ def _keyword_match(raw: str, patterns: dict):
     return (keyword, m) if m else None
 
 
+@functools.lru_cache(maxsize=256)
+def _author_ids(text: str) -> tuple[str, ...]:
+    """The ids of a matched author-list text; a few lists recur often."""
+    return tuple(text.replace(",", " ").split())
+
+
 def _match_declaration(raw: str) -> TypeDecl | AspectDecl | FactDecl | None:
     """The declaration on a well-formed olog line, or None for any other line.
 
     The line's first word picks the one pattern that can read it.  Where
     it returns a declaration, _declaration gives an equal one.  This runs
-    once per line, so it inlines _keyword_match, _ids and _path, and
-    unquotes only a string that holds a backslash.
+    once per line, so it inlines _keyword_match and _path, checks for
+    "->" only the groups that can hold one, and unquotes only a string
+    that holds a backslash.
     """
     words = raw.split(None, 1)
     pattern = _LINE_PATTERNS.get(words[0]) if words else None
@@ -324,21 +332,26 @@ def _match_declaration(raw: str) -> TypeDecl | AspectDecl | FactDecl | None:
     keyword = words[0]
     if keyword == "type":
         name, noun, auth = m.groups()
+        if "->" in name or "->" in auth:
+            return None
         if "\\" in noun:
             noun = _unquote(noun)
-        return TypeDecl(name, noun, tuple(auth.replace(",", " ").split()))
+        return TypeDecl(name, noun, _author_ids(auth))
     if keyword == "aspect":
         name, source, target, verb, auth = m.groups()
+        if "->" in name or "->" in source or "->" in target or "->" in auth:
+            return None
         if "\\" in verb:
             verb = _unquote(verb)
-        return AspectDecl(name, source, target, verb,
-                          tuple(auth.replace(",", " ").split()))
+        return AspectDecl(name, source, target, verb, _author_ids(auth))
     name, left, right, auth = m.groups()
+    if "->" in raw and ("->" in name or "->" in left or "->" in right
+                        or "->" in auth):
+        return None
     left = tuple(left.replace(";", " ").split())
     right = tuple(right.replace(";", " ").split())
     return FactDecl(name, None if left == ("1",) else left,
-                    None if right == ("1",) else right,
-                    tuple(auth.replace(",", " ").split()))
+                    None if right == ("1",) else right, _author_ids(auth))
 
 
 def parse_olog(text: str) -> OlogDocument:
@@ -443,19 +456,23 @@ def olog_from_document(doc: OlogDocument) -> Olog:
         right = build_path(fct.right, fct.left, fct.name)
         equations.append(Equation(fct.name, left, right))
     category = PathCategory(tuple(type_names), tuple(generators), tuple(equations))
-    type_labels = {t.name: TypeLabel(NounPhrase(t.noun), frozenset(t.authors))
+    # One frozenset per distinct author tuple, shared by every label.
+    authors = {ids: frozenset(ids) for ids in {
+        d.authors for decls in (doc.types, doc.aspects, doc.facts)
+        for d in decls}}
+    type_labels = {t.name: TypeLabel(NounPhrase(t.noun), authors[t.authors])
                    for t in doc.types}
     aspect_labels = {}
     try:  # as _atomic_verb does, without a call per aspect
         for a in doc.aspects:
             aspect_labels[a.name] = AspectLabel(AtomicVerb(a.verb),
-                                                frozenset(a.authors))
+                                                authors[a.authors])
     except BadVerbPhrase as exc:
         raise BadVerbPhrase(f"aspect {a.name!r}: {exc}") from None
     structure = LinguisticStructure(
         type_labels=type_labels,
         aspect_labels=aspect_labels,
-        fact_authors={f.name: frozenset(f.authors) for f in doc.facts},
+        fact_authors={f.name: authors[f.authors] for f in doc.facts},
     )
     return Olog(doc.name, category, structure)
 
@@ -550,13 +567,13 @@ _MAPPING_PATTERNS = {
     "source": re.compile(rf"\s*source\s*{_STRING}{_TAIL}", re.S),
     "target": re.compile(rf"\s*target\s*{_STRING}{_TAIL}", re.S),
     "object": re.compile(
-        rf"\s*object\s+({_WORD})\s*->\s*({_WORD}){_TAIL}", re.S),
-    "aspect": re.compile(rf"\s*aspect\s+({_WORD})\s*->\s*{_PATH}{_TAIL}",
+        rf"\s*object\s+({_RUN})\s*->\s*({_RUN}){_TAIL}", re.S),
+    "aspect": re.compile(rf"\s*aspect\s+({_RUN})\s*->\s*{_PATH}{_TAIL}",
                          re.S),
     "component": re.compile(
-        rf"\s*component\s+({_WORD})\s*=\s*{_STRING}\s*{_AUTHORS}", re.S),
-    "square": re.compile(rf"\s*square\s+({_WORD})\s+{_AUTHORS}", re.S),
-    "table": re.compile(rf"\s*table\s+({_WORD})\s*=\s*{_STRING}{_TAIL}",
+        rf"\s*component\s+({_RUN})\s*=\s*{_STRING}\s*{_AUTHORS}", re.S),
+    "square": re.compile(rf"\s*square\s+({_RUN})\s+{_AUTHORS}", re.S),
+    "table": re.compile(rf"\s*table\s+({_RUN})\s*=\s*{_STRING}{_TAIL}",
                         re.S),
 }
 
@@ -571,15 +588,22 @@ def _match_mapping_entry(raw: str) -> tuple[str, str, object] | None:
     keyword, m = found
     if keyword in ("source", "target"):
         return keyword, keyword, _unquote(m[1])
-    if keyword == "object":
-        return keyword, m[1], m[2]
-    if keyword == "aspect":
-        return keyword, m[1], _path(m[2])
+    if keyword in ("object", "aspect", "square"):
+        key, value = m.groups()
+        if "->" in key or "->" in value:
+            return None
+        if keyword == "object":
+            return keyword, key, value
+        if keyword == "aspect":
+            return keyword, key, _path(value)
+        return keyword, key, _author_ids(value)
     if keyword == "component":
         key, verb, auth = m.groups()
-        return keyword, key, (_unquote(verb), _ids(auth))
-    if keyword == "square":
-        return keyword, m[1], _ids(m[2])
+        if "->" in key or "->" in auth:
+            return None
+        return keyword, key, (_unquote(verb), _author_ids(auth))
+    if "->" in m[1]:
+        return None
     return keyword, m[1], _unquote(m[2])
 
 

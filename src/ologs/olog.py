@@ -85,6 +85,11 @@ def derived_authors(o: Olog, p: Path) -> AuthorSet:
     """The authors of every generator along p; of its object if p is an
     identity."""
     o.category.objects_along(p)  # raises InvalidPath unless p is a path of o
+    return _authors_along(o, p)
+
+
+def _authors_along(o: Olog, p: Path) -> AuthorSet:
+    """derived_authors of a path already known to be a path of o."""
     if p.is_identity:
         return o.type_authors(p.source)
     labels = o.structure.aspect_labels
@@ -136,7 +141,8 @@ def validate_olog(o: Olog) -> ValidationReport:
             report.add("missing-fact-authors",
                        f"equation {eq.name!r} has no author set")
             continue
-        allowed = derived_authors(o, eq.left) & derived_authors(o, eq.right)
+        # PathCategory checked both sides when it was built.
+        allowed = _authors_along(o, eq.left) & _authors_along(o, eq.right)
         extra = fact - allowed
         if extra:
             report.add(

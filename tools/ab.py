@@ -2,6 +2,7 @@
 
     python3 tools/ab.py OLD_CHECKOUT NEW_CHECKOUT --workload schema-scale
     python3 tools/ab.py ../parent . --workload all --seed 11 --rounds 30
+    python3 tools/ab.py ../parent . --corpus fixtures
 
 Each checkout's `src/ologs` is imported under its own package name, so
 both run in this process on the same inputs.  The inputs are the
@@ -16,8 +17,22 @@ paths relative to it, and their bytes.
 
 For each workload it prints the median wall time of a round on each side
 and the median, over rounds, of NEW time / OLD time with its quartiles;
-a ratio below 1 means NEW is faster.  Stdlib only; nothing in `ologs`
-imports this script.
+a ratio below 1 means NEW is faster.
+
+With `--corpus fixtures` it times nothing and instead runs a fixed list
+of invocations once on each side: every `tests/fixtures/*.olog` under
+`validate`, `read` and `read --facts`, each with and without `--json`
+(and `check-instance` where the olog has a fixture bundle); every
+`*.map` under `check-mapping` with the default bound and `--bound 0`,
+and `pullback` (and, where the map has fixture bundles, `check-mapping`
+with data, `migrate` and `search-conforming`); and the same commands
+on 20 one-character corruptions of each olog and map, chosen by
+`--seed`.  The inputs are copied from the checkout holding this script
+to a temporary directory, whose path reads as `<corpus>` in every output
+and message.  Any difference in exit code, stdout, stderr or written
+files is printed and makes the exit status 1; the last line counts the
+invocations compared.  Stdlib only; nothing in `ologs` imports this
+script.
 """
 
 from __future__ import annotations
@@ -26,6 +41,8 @@ import argparse
 import gc
 import importlib.util
 import io
+import random
+import shutil
 import statistics
 import sys
 import tempfile
@@ -89,18 +106,24 @@ def run_round(cli, ops) -> tuple[float, list]:
     return total, results
 
 
+def difference(x: tuple, y: tuple) -> str | None:
+    """How two results of one call (exit code, stdout, stderr, written
+    files) differ, or None."""
+    for what, u, v in zip(("exit code", "stdout", "stderr"), x, y):
+        if u != v:
+            return f"{what} differs: {str(u)[:200]!r} != {str(v)[:200]!r}"
+    for name in sorted(x[3].keys() | y[3].keys()):
+        if x[3].get(name) != y[3].get(name):
+            return f"written file {name} differs"
+    return None
+
+
 def first_difference(old: list, new: list) -> str | None:
     for (op, a), (_, b) in zip(old, new):
         for argv, x, y in zip(op.steps, a, b):
-            where = f"{op.variant} {' '.join(argv)}"
-            for what, u, v in zip(("exit code", "stdout", "stderr"), x, y):
-                if u != v:
-                    return (f"{where}: {what} differs: "
-                            f"{str(u)[:200]!r} != {str(v)[:200]!r}")
-            files_x, files_y = x[3], y[3]
-            for name in sorted(files_x.keys() | files_y.keys()):
-                if files_x.get(name) != files_y.get(name):
-                    return f"{where}: written file {name} differs"
+            found = difference(x, y)
+            if found:
+                return f"{op.variant} {' '.join(argv)}: {found}"
     return None
 
 
@@ -130,6 +153,93 @@ def compare(workload, clis, seed: int, rounds: int, tiny: bool) -> bool:
     return True
 
 
+# The fixture corpus.  Bundles are paths under tests/fixtures: the
+# bundle of an olog for check-instance, and the source and target
+# bundles of a map.
+OLOG_BUNDLES = {"father.olog": "data/bush", "human.olog": "data/human",
+                "person1.olog": "data/person"}
+MAP_BUNDLES = {"merge_father.map": ("data/human", "data/person"),
+               "merge_is.map": ("data/human", "data/person")}
+CORRUPTIONS = 20  # per olog and per map
+CORRUPT_CHARACTERS = '-> #",;[]{}=:~1a\\'
+
+
+def corrupted(text: str, rng: random.Random) -> str:
+    """`text` with one character inserted, overwritten or deleted."""
+    at = rng.randrange(len(text))
+    how = rng.randrange(3)  # insert, overwrite, delete
+    char = "" if how == 2 else rng.choice(CORRUPT_CHARACTERS)
+    return text[:at] + char + text[at + (how > 0):]
+
+
+def corpus_invocations(directory: Path, seed: int) -> list[list[str]]:
+    """Copy the fixtures to `directory`, write the seeded corruptions
+    beside them, and list the invocations of the corpus."""
+    fixtures = ROOT / "tests" / "fixtures"
+    shutil.copytree(fixtures, directory, dirs_exist_ok=True)
+    out = directory / "out"
+    rng = random.Random(seed)
+    invocations = []
+    for original in [*sorted(fixtures.glob("*.olog")),
+                     *sorted(fixtures.glob("*.map"))]:
+        text = original.read_text(encoding="utf-8")
+        files = [directory / original.name]
+        for k in range(CORRUPTIONS):
+            files.append(directory / f"{original.stem}.c{k:02d}{original.suffix}")
+            files[-1].write_bytes(corrupted(text, rng).encode("utf-8"))
+        for path in map(str, files):
+            if original.suffix == ".olog":
+                for command in (["validate"], ["read"], ["read", "--facts"]):
+                    invocations += [[*command, path], [*command, path, "--json"]]
+                if original.name in OLOG_BUNDLES:
+                    bundle = directory / OLOG_BUNDLES[original.name]
+                    invocations.append(["check-instance", path, str(bundle)])
+                continue
+            invocations += [["check-mapping", path],
+                            ["check-mapping", path, "--bound", "0"],
+                            ["pullback", path, "--out", str(out / "pulled.olog")]]
+            if original.name in MAP_BUNDLES:
+                src, dst = (str(directory / b) for b in MAP_BUNDLES[original.name])
+                invocations += [
+                    ["check-mapping", path, "--src-data", src, "--dst-data", dst],
+                    ["migrate", path, "--dst-data", dst, "--out", str(out / "migrated")],
+                    ["search-conforming", path, "--src-data", src, "--dst-data", dst]]
+    return invocations
+
+
+def corpus_call(cli, argv: list[str], directory: Path) -> tuple:
+    """Exit code, stdout, stderr and written files of one call, run with
+    an empty output directory, with `directory` read as `<corpus>`.  A
+    call that raises has no exit code and the exception as its stderr."""
+    out = directory / "out"
+    shutil.rmtree(out, ignore_errors=True)
+    out.mkdir()
+    try:
+        code, stdout, stderr = call(cli, argv)
+    except Exception as exc:  # a traceback is an outcome to compare too
+        code, stdout, stderr = None, "", f"raised {exc!r}"
+    place = str(directory)
+    return (code, stdout.replace(place, "<corpus>"),
+            stderr.replace(place, "<corpus>"), written(argv))
+
+
+def compare_corpus(clis, seed: int) -> bool:
+    with tempfile.TemporaryDirectory(prefix="ab-corpus-") as name:
+        directory = Path(name)
+        invocations = corpus_invocations(directory, seed)
+        differing = 0
+        for argv in invocations:
+            found = difference(*(corpus_call(cli, argv, directory)
+                                 for cli in clis))
+            if found:
+                differing += 1
+                where = " ".join(argv).replace(name, "<corpus>")
+                print(f"{where}: {found}")
+    print(f"corpus fixtures: {len(invocations)} invocations compared, "
+          f"{differing} differ")
+    return differing == 0
+
+
 def main(argv=None) -> int:
     sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -146,11 +256,16 @@ def main(argv=None) -> int:
                         help="timed rounds per workload (default %(default)s)")
     parser.add_argument("--tiny", action="store_true",
                         help="the workloads' tiny sizes, for a quick check")
+    parser.add_argument("--corpus", choices=["fixtures"],
+                        help="compare the outputs of the fixture corpus "
+                             "instead of timing workloads")
     args = parser.parse_args(argv)
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
     clis = [load_cli(args.old.resolve(), "ologs_old"),
             load_cli(args.new.resolve(), "ologs_new")]
+    if args.corpus:
+        return 0 if compare_corpus(clis, args.seed) else 1
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
     ok = True
     for name in names:
