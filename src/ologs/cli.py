@@ -74,13 +74,16 @@ def _checked_mapping(path: str, bound: int = DEFAULT_BOUND):
     return doc, base, m, report
 
 
-def _load_correspondences(doc: MappingDocument, base: FsPath, m) -> dict:
+def _load_correspondences(doc: MappingDocument, base: FsPath, m,
+                          pairs: bool = True) -> dict:
     """Each component's declared pairs, read by `_load_plain` against the
-    one expected header, or else, with every error, by `read_table_file`."""
+    one expected header, or else, with every error, by `read_table_file`
+    as a frozenset.  Without `pairs`, a plain table with no repeated key
+    is read straight into its component dict instead."""
     tables = {}
     for obj, rel in doc.tables.items():
         expected = component_table_header(m, obj)
-        plain = _load_plain(base / rel, {expected: [obj]}, pairs=True)
+        plain = _load_plain(base / rel, {expected: [obj]}, pairs)
         if plain is not None:
             tables[obj] = plain[2]
             continue
@@ -154,9 +157,10 @@ def cmd_check_mapping(args) -> int:
         report.extend(data_report)
         if not report.ok:
             return _emit(report, args.json)
-        correspondences = _load_correspondences(doc, base, m)
-        components = {}
-        for obj, pairs in correspondences.items():
+        components = _load_correspondences(doc, base, m, pairs=False)
+        for obj, pairs in components.items():
+            if isinstance(pairs, dict):
+                continue
             components[obj] = dict(pairs)
             if len(components[obj]) != len(pairs):  # a key repeats
                 keys = sorted(x for x, _ in pairs)
@@ -167,7 +171,7 @@ def cmd_check_mapping(args) -> int:
                             f"table at {obj!r} declares two partners "
                             f"for {x!r}")
         if report.ok:
-            p = InstanceMorphism(i, j, m, components, correspondences)
+            p = InstanceMorphism(i, j, m, components)
             report.extend(check_naturality(p))
     return _emit(report, args.json)
 

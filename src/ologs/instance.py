@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import csv
 import errno
-import io
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path as FsPath
 
 from .category import Path
@@ -33,22 +33,25 @@ class Instance:
     olog: Olog
     tokens: dict[str, tuple[str, ...]]
     functions: dict[str, dict[str, str]] = field(default_factory=dict)
-    _token_sets: dict[str, frozenset[str]] = field(
-        init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._token_sets = {obj: frozenset(toks)
-                            for obj, toks in self.tokens.items()}
+    # Each type's token set, built on first use or handed over by a loader.
+    _token_sets: dict[str, set[str] | frozenset[str]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def token_set(self, obj: str) -> tuple[str, ...]:
         return self.tokens.get(obj, ())
 
+    def _tokens_at(self, obj: str) -> set[str] | frozenset[str]:
+        found = self._token_sets.get(obj)
+        if found is None:
+            found = self._token_sets[obj] = frozenset(self.token_set(obj))
+        return found
+
     def has_token(self, obj: str, token: str) -> bool:
-        return token in self._token_sets.get(obj, ())
+        return token in self._tokens_at(obj)
 
     def has_tokens(self, obj: str, tokens) -> bool:
         """Whether every one of `tokens` is a token at obj."""
-        return self._token_sets.get(obj, frozenset()).issuperset(tokens)
+        return self._tokens_at(obj).issuperset(tokens)
 
     def function(self, gen: str) -> dict[str, str]:
         self.olog.category.generator(gen)  # raises UnknownGenerator
@@ -92,7 +95,7 @@ def check_totality(inst: Instance) -> ValidationReport:
     report = ValidationReport()
     for g in inst.olog.category.generators:
         mapping = inst.functions.get(g.name, {})
-        if (mapping.keys() == inst._token_sets.get(g.source, frozenset())
+        if (mapping.keys() == inst._tokens_at(g.source)
                 and inst.has_tokens(g.target, mapping.values())):
             continue  # total and in range: the loop below finds nothing
         for x in inst.token_set(g.source):
@@ -236,14 +239,25 @@ def read_table_file(path) -> InstanceTable:
     return InstanceTable(header=rows[0], rows=tuple(rows[1:]))
 
 
+class _Lines(list):
+    write = list.append  # a file for `csv.writer`: one item per line
+
+
 def write_table_file(path, table: InstanceTable) -> None:
-    """Write what `csv.writer(lineterminator="\\n")` writes, in one `write`.
-    The header goes through `csv.writer`; so do the rows, unless their
-    comma-and-newline join shows that no field needs quoting: no quote,
-    carriage return or NUL, the comma and newline counts of plain rows,
-    and no empty field in a one-column table."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    """Write what this Python's `csv.writer(lineterminator="\\n")` writes."""
+    _write_table(path, table, "\n")
+
+
+def _write_table(path, table: InstanceTable, terminator: str) -> None:
+    """Write what `csv.writer(lineterminator=terminator)` writes, each line
+    ended by a newline, in one `write`; "\\r\\n" quotes a field holding a
+    carriage return, as Python 3.13 does with "\\n".  The rows go through
+    `csv.writer` only when their comma-and-newline join shows that some
+    field needs quoting: a quote, carriage return or NUL, comma or
+    newline counts other than plain rows have, or an empty field in a
+    one-column table."""
+    lines = _Lines()
+    writer = csv.writer(lines, lineterminator=terminator)
     writer.writerow(table.header)
     rows, width = table.rows, len(table.header)
     body = "\n".join(map(",".join, rows)) + "\n"
@@ -254,10 +268,15 @@ def write_table_file(path, table: InstanceTable) -> None:
         writer.writerows(rows)
         body = ""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(buffer.getvalue() + body)
+        handle.write("".join(line[:-len(terminator)] + "\n" for line in lines)
+                     + body)
 
 
-def _load_plain(path, index: dict, pairs: bool = False):
+# Every byte but the separators of a plain table, for `bytes.translate`.
+NOT_SEPARATOR = bytes(sorted(set(range(256)) - set(b",\n")))
+
+
+def _load_plain(path, index: dict, pairs: bool = False, token_sets=None):
     """What `_bind(read_table_file(path), index)` returns, read by bulk
     string splits, or None where that takes more than splits to decide.
 
@@ -267,8 +286,13 @@ def _load_plain(path, index: dict, pairs: bool = False):
     blank line, no field over `csv.field_size_limit()`, one comma per
     line of a two-column table, and no repeated token or key.  Every
     other table, and every error, is left to `read_table_file` and
-    `_bind`.  With `pairs`, a two-column table is read as the frozenset
-    of its rows, as `correspondence_pairs` reads it, and a key may repeat.
+    `_bind`.  The comma per line is checked on the separators alone:
+    the UTF-8 body without its other bytes (neither byte occurs inside
+    a multi-byte character) must be `,` and newline in turn.  A
+    one-column table's tokens are hashed once, into the set that finds a
+    repeated token, and `token_sets` receives it under the table's type.
+    With `pairs`, a two-column table is read as the frozenset of its
+    rows, as `correspondence_pairs` reads it, and a key may repeat.
     """
     try:
         with open(path, newline="", encoding="utf-8") as handle:
@@ -282,17 +306,20 @@ def _load_plain(path, index: dict, pairs: bool = False):
     lines = body.removesuffix("\n")
     if len(header) == 1:
         fields = lines.split("\n") if body else []
-        if "," in lines or "" in fields or len(set(fields)) != len(fields):
+        seen = set(fields)
+        if "," in lines or "" in seen or len(seen) != len(fields):
             return None  # a blank line, a second column or a duplicate row
         content = tuple(fields)
     else:
         fields = lines.replace(",", "\n").split("\n") if body else []
-        keys, values = fields[0::2], fields[1::2]
-        content = (frozenset if pairs else dict)(zip(keys, values))
+        keys = fields[0::2]
         # Refused: a line without exactly one comma, or a repeated key (a
         # repeated row, when read as pairs).
-        if ("\n".join(map(",".join, zip(keys, values))) != lines
-                or len(content) != len(keys)):
+        if (lines.encode().translate(None, NOT_SEPARATOR)
+                != (b",\n" * len(keys))[:-1]):
+            return None
+        content = (frozenset if pairs else dict)(zip(keys, fields[1::2]))
+        if len(content) != len(keys):
             return None
     # A field over the limit holds a whole aligned block of `half`
     # characters, so the fields are measured only when some block has no
@@ -304,6 +331,8 @@ def _load_plain(path, index: dict, pairs: bool = False):
     if (any("\n" not in block and "," not in block for block in blocks)
             and max(map(len, fields)) > limit):
         return None
+    if token_sets is not None and len(header) == 1:
+        token_sets[matches[0]] = seen
     return ("tokens" if len(header) == 1 else "function"), matches[0], content
 
 
@@ -319,8 +348,9 @@ def load_bundle(directory, o: Olog) -> Instance:
     `str` methods, instead of row by row by `csv.reader`; any other table
     goes through `read_table_file` and `_bind`, which raise every error,
     so errors and their messages are those of `read_table_file` and
-    `load_table`.  The checks then compose and compare whole tables too
-    (see `_compose`).
+    `load_table`.  The plain reader's token sets become the instance's,
+    so each type's tokens are hashed once.  The checks then compose and
+    compare whole tables too (see `_compose`).
     """
     directory = FsPath(directory)
     if not directory.is_dir():
@@ -331,9 +361,11 @@ def load_bundle(directory, o: Olog) -> Instance:
     gen_names = {g.name for g in o.category.generators}
     tokens: dict[str, tuple[str, ...]] = {}
     functions: dict[str, dict[str, str]] = {}
+    token_sets: dict[str, set[str]] = {}
     for path in sorted(directory.glob("*.csv")):
-        kind, target, content = (_load_plain(path, index)
-                                 or _bind(read_table_file(path), index))
+        kind, target, content = (
+            _load_plain(path, index, token_sets=token_sets)
+            or _bind(read_table_file(path), index))
         name = path.stem
         if name in objects:
             if kind != "tokens" or target != name:
@@ -351,22 +383,31 @@ def load_bundle(directory, o: Olog) -> Instance:
             functions[name] = content
         else:
             raise UnboundHeader(f"{path.name}: no type or aspect named {name!r}")
-    return Instance(o, tokens, functions)
+    inst = Instance(o, tokens, functions)
+    inst._token_sets.update(token_sets)
+    return inst
 
 
 def write_bundle(directory, inst: Instance) -> None:
+    """Write one table per type and aspect as Python 3.13's `csv.writer`
+    does, so that it reads back: before 3.13 it leaves a carriage return
+    unquoted, and `csv.reader` ends the row there.  Other tables, the same
+    on every version, go through `write_table_file`."""
     directory = FsPath(directory)
     directory.mkdir(parents=True, exist_ok=True)
     o = inst.olog
-    for obj, toks in inst.tokens.items():
-        table = InstanceTable(type_header(o, obj), tuple((t,) for t in toks))
-        write_table_file(directory / f"{obj}.csv", table)
+    tables = [(obj, InstanceTable(type_header(o, obj), tuple(zip(toks))))
+              for obj, toks in inst.tokens.items()]
     for gen, mapping in inst.functions.items():
         g = o.category.generator(gen)
         rows = tuple((x, mapping[x]) for x in inst.token_set(g.source)
                      if x in mapping)
-        table = InstanceTable(generator_header(o, gen), rows)
-        write_table_file(directory / f"{gen}.csv", table)
+        tables.append((gen, InstanceTable(generator_header(o, gen), rows)))
+    for name, table in tables:
+        if "\r" in "".join(chain(table.header, *table.rows)):
+            _write_table(directory / f"{name}.csv", table, "\r\n")
+        else:
+            write_table_file(directory / f"{name}.csv", table)
 
 
 def instance_sentences(inst: Instance) -> list[str]:

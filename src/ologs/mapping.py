@@ -151,14 +151,17 @@ def validate_linguistic_functor(
 
 
 def pullback_instance(f: CatFunctor, j: Instance, name: str | None = None) -> Instance:
-    """Re-tabulate an instance on f.target as an instance on f.source."""
+    """Re-tabulate an instance on f.target as an instance on f.source.
+    Each pulled type shares j's tokens and token set at its image."""
     pulled = pullback_olog(f, j.olog, name)
     tokens = {c: j.token_set(f.apply_object(c)) for c in f.source.objects}
     functions = {
         g.name: path_table(j, f.apply(Path(g.source, (g.name,))))
         for g in f.source.generators
     }
-    return Instance(pulled, tokens, functions)
+    inst = Instance(pulled, tokens, functions)
+    inst._token_sets.update((c, j._tokens_at(f.apply_object(c))) for c in tokens)
+    return inst
 
 
 def correspondence_pairs(table: InstanceTable) -> frozenset[tuple[str, str]]:
@@ -208,7 +211,7 @@ def check_naturality(p: InstanceMorphism) -> ValidationReport:
         comp = p.component_functions.get(c, {})
         fc = m.functor.apply_object(c)
         xs = i.token_set(c)
-        if comp.keys() >= set(xs) and j.has_tokens(
+        if comp.keys() >= i._tokens_at(c) and j.has_tokens(
                 fc, map(comp.__getitem__, xs)):
             continue
         for x in xs:

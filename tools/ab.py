@@ -27,12 +27,18 @@ of invocations once on each side: every `tests/fixtures/*.olog` under
 and `pullback` (and, where the map has fixture bundles, `check-mapping`
 with data, `migrate` and `search-conforming`); and the same commands
 on 20 one-character corruptions of each olog and map, chosen by
-`--seed`.  The inputs are copied from the checkout holding this script
-to a temporary directory, whose path reads as `<corpus>` in every output
-and message.  Any difference in exit code, stdout, stderr or written
-files is printed and makes the exit status 1; the last line counts the
-invocations compared.  Stdlib only; nothing in `ologs` imports this
-script.
+`--seed`.  Each fixture table gets 20 seeded corruptions too, each a
+`,`, newline, `"`, carriage return or space inserted, deleted or
+overwritten by another of them.  A corrupted bundle table goes under
+`check-instance` with its olog and, in a map's bundle, under
+`check-mapping` with data, `migrate` and `search-conforming`; a
+corrupted correspondence table goes, through a copy of its map, under
+`check-mapping` with data and `search-conforming`.  The inputs are
+copied from the checkout holding this script to a temporary directory,
+whose path reads as `<corpus>` in every output and message.  Any
+difference in exit code, stdout, stderr or written files is printed and
+makes the exit status 1; the last line counts the invocations compared.
+Stdlib only; nothing in `ologs` imports this script.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ import gc
 import importlib.util
 import io
 import random
+import re
 import shutil
 import statistics
 import sys
@@ -160,8 +167,9 @@ OLOG_BUNDLES = {"father.olog": "data/bush", "human.olog": "data/human",
                 "person1.olog": "data/person"}
 MAP_BUNDLES = {"merge_father.map": ("data/human", "data/person"),
                "merge_is.map": ("data/human", "data/person")}
-CORRUPTIONS = 20  # per olog and per map
+CORRUPTIONS = 20  # per olog, per map and per table
 CORRUPT_CHARACTERS = '-> #",;[]{}=:~1a\\'
+TABLE_CHARACTERS = ',\n"\r '
 
 
 def corrupted(text: str, rng: random.Random) -> str:
@@ -170,6 +178,74 @@ def corrupted(text: str, rng: random.Random) -> str:
     how = rng.randrange(3)  # insert, overwrite, delete
     char = "" if how == 2 else rng.choice(CORRUPT_CHARACTERS)
     return text[:at] + char + text[at + (how > 0):]
+
+
+def corrupted_table(text: str, rng: random.Random) -> str:
+    """`text` with one of `TABLE_CHARACTERS` inserted, or one that it
+    holds deleted or overwritten by another."""
+    present = [at for at, char in enumerate(text) if char in TABLE_CHARACTERS]
+    how = rng.randrange(3) if present else 0  # insert, delete, overwrite
+    if how == 0:
+        at = rng.randrange(len(text) + 1)
+        return text[:at] + rng.choice(TABLE_CHARACTERS) + text[at:]
+    at = rng.choice(present)
+    char = rng.choice(TABLE_CHARACTERS.replace(text[at], "")) if how == 2 else ""
+    return text[:at] + char + text[at + 1:]
+
+
+def table_invocations(directory: Path, rng: random.Random) -> list[list[str]]:
+    """Write the seeded corruptions of every fixture table into
+    `directory` and list the commands that read each one.  A bundle
+    table's corruption is written into a copy of its bundle, named
+    `<bundle>.<table>.cNN`; a correspondence table's beside the table,
+    with a copy of its map, `<map>.<table>.cNN.map`, that names it."""
+    out = directory / "out"
+    olog_of = {bundle: name for name, bundle in OLOG_BUNDLES.items()}
+    invocations = []
+    for bundle in sorted({*OLOG_BUNDLES.values(),
+                          *(b for pair in MAP_BUNDLES.values() for b in pair)}):
+        for table in sorted((directory / bundle).glob("*.csv")):
+            text = table.read_text(encoding="utf-8")
+            for k in range(CORRUPTIONS):
+                copy = directory / f"{bundle}.{table.stem}.c{k:02d}"
+                shutil.copytree(directory / bundle, copy)
+                (copy / table.name).write_bytes(
+                    corrupted_table(text, rng).encode("utf-8"))
+                copy = str(copy)
+                if bundle in olog_of:
+                    invocations.append(["check-instance",
+                                        str(directory / olog_of[bundle]), copy])
+                for map_name, bundles in sorted(MAP_BUNDLES.items()):
+                    if bundle not in bundles:
+                        continue
+                    path = str(directory / map_name)
+                    src, dst = (copy if b == bundle else str(directory / b)
+                                for b in bundles)
+                    invocations.append(["check-mapping", path,
+                                        "--src-data", src, "--dst-data", dst])
+                    if dst == copy:
+                        invocations.append(["migrate", path, "--dst-data",
+                                            dst, "--out", str(out / "migrated")])
+                    invocations.append(["search-conforming", path,
+                                        "--src-data", src, "--dst-data", dst])
+    for map_name, (src, dst) in sorted(MAP_BUNDLES.items()):
+        map_text = (directory / map_name).read_text(encoding="utf-8")
+        for rel in re.findall(r'^table \w+ = "([^"]+)"$', map_text, re.M):
+            table = directory / rel
+            text = table.read_text(encoding="utf-8")
+            for k in range(CORRUPTIONS):
+                name = f"{table.stem}.c{k:02d}"
+                table.with_name(f"{name}.csv").write_bytes(
+                    corrupted_table(text, rng).encode("utf-8"))
+                copy_rel = Path(rel).with_name(f"{name}.csv").as_posix()
+                path = directory / f"{Path(map_name).stem}.{name}.map"
+                path.write_text(map_text.replace(f'"{rel}"', f'"{copy_rel}"'),
+                                encoding="utf-8")
+                data_args = ["--src-data", str(directory / src),
+                             "--dst-data", str(directory / dst)]
+                invocations += [["check-mapping", str(path), *data_args],
+                                ["search-conforming", str(path), *data_args]]
+    return invocations
 
 
 def corpus_invocations(directory: Path, seed: int) -> list[list[str]]:
@@ -204,7 +280,7 @@ def corpus_invocations(directory: Path, seed: int) -> list[list[str]]:
                     ["check-mapping", path, "--src-data", src, "--dst-data", dst],
                     ["migrate", path, "--dst-data", dst, "--out", str(out / "migrated")],
                     ["search-conforming", path, "--src-data", src, "--dst-data", dst]]
-    return invocations
+    return invocations + table_invocations(directory, rng)
 
 
 def corpus_call(cli, argv: list[str], directory: Path) -> tuple:
