@@ -291,24 +291,6 @@ _LINE_PATTERNS = {
 }
 
 
-def _path(text: str) -> tuple[str, ...] | None:
-    """The ids of a matched path list; None for [1].  A word holds no
-    whitespace, ',' or ';', and str.split splits at exactly the
-    characters that \\s matches."""
-    ids = tuple(text.replace(";", " ").split())
-    return None if ids == ("1",) else ids
-
-
-def _keyword_match(raw: str, patterns: dict):
-    """The line's first whitespace-separated word and the match of the one
-    pattern it names, or None when that pattern does not read the line."""
-    words = raw.split(None, 1)
-    keyword = words[0] if words else None
-    pattern = patterns.get(keyword)
-    m = pattern.fullmatch(raw) if pattern else None
-    return (keyword, m) if m else None
-
-
 @functools.lru_cache(maxsize=256)
 def _author_ids(text: str) -> tuple[str, ...]:
     """The ids of a matched author-list text; a few lists recur often."""
@@ -318,11 +300,12 @@ def _author_ids(text: str) -> tuple[str, ...]:
 def _match_declaration(raw: str) -> TypeDecl | AspectDecl | FactDecl | None:
     """The declaration on a well-formed olog line, or None for any other line.
 
-    The line's first word picks the one pattern that can read it.  Where
-    it returns a declaration, _declaration gives an equal one.  This runs
-    once per line, so it inlines _keyword_match and _path, checks for
-    "->" only the groups that can hold one, and unquotes only a string
-    that holds a backslash.
+    The line's first whitespace-separated word picks the one pattern that
+    can read it.  Where it returns a declaration, _declaration gives an
+    equal one.  A path list is split with str.split, which splits at
+    exactly the characters that \\s matches; [1] is None.  Only the groups
+    that can hold "->" are checked for one, and only a string that holds a
+    backslash is unquoted.
     """
     words = raw.split(None, 1)
     pattern = _LINE_PATTERNS.get(words[0]) if words else None
@@ -398,14 +381,6 @@ def serialize_olog(doc: OlogDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _atomic_verb(text: str, kind: str, name: str) -> AtomicVerb:
-    """The verb phrase of a declaration; an error names the declaration."""
-    try:
-        return AtomicVerb(text)
-    except BadVerbPhrase as exc:
-        raise BadVerbPhrase(f"{kind} {name!r}: {exc}") from None
-
-
 def olog_from_document(doc: OlogDocument) -> Olog:
     """Build the olog, checking references, duplicates, and noun phrases."""
     type_names = [t.name for t in doc.types]
@@ -463,7 +438,7 @@ def olog_from_document(doc: OlogDocument) -> Olog:
     type_labels = {t.name: TypeLabel(NounPhrase(t.noun), authors[t.authors])
                    for t in doc.types}
     aspect_labels = {}
-    try:  # as _atomic_verb does, without a call per aspect
+    try:
         for a in doc.aspects:
             aspect_labels[a.name] = AspectLabel(AtomicVerb(a.verb),
                                                 authors[a.authors])
@@ -582,10 +557,12 @@ def _match_mapping_entry(raw: str) -> tuple[str, str, object] | None:
     """The (keyword, key, value) on a well-formed mapping line, or None for
     any other line.  Where it returns an entry, _mapping_entry gives an
     equal one."""
-    found = _keyword_match(raw, _MAPPING_PATTERNS)
-    if found is None:
+    words = raw.split(None, 1)
+    pattern = _MAPPING_PATTERNS.get(words[0]) if words else None
+    m = pattern.fullmatch(raw) if pattern else None
+    if m is None:
         return None
-    keyword, m = found
+    keyword = words[0]
     if keyword in ("source", "target"):
         return keyword, keyword, _unquote(m[1])
     if keyword in ("object", "aspect", "square"):
@@ -595,7 +572,8 @@ def _match_mapping_entry(raw: str) -> tuple[str, str, object] | None:
         if keyword == "object":
             return keyword, key, value
         if keyword == "aspect":
-            return keyword, key, _path(value)
+            ids = tuple(value.replace(";", " ").split())
+            return keyword, key, None if ids == ("1",) else ids
         return keyword, key, _author_ids(value)
     if keyword == "component":
         key, verb, auth = m.groups()
@@ -697,13 +675,13 @@ def morphism_from_document(doc: MappingDocument, source: Olog, target: Olog):
             generator_map[name] = Path(first.source, tuple(ids))
     functor = CatFunctor(source.category, target.category,
                          dict(doc.object_map), generator_map)
-    components = {
-        obj: AspectLabel(
-            UNIT if verb == "is of course"
-            else _atomic_verb(verb, "component", obj),
-            frozenset(auth),
-        )
-        for obj, (verb, auth) in doc.components.items()
-    }
+    components = {}
+    try:
+        for obj, (verb, auth) in doc.components.items():
+            components[obj] = AspectLabel(
+                UNIT if verb == "is of course" else AtomicVerb(verb),
+                frozenset(auth))
+    except BadVerbPhrase as exc:
+        raise BadVerbPhrase(f"component {obj!r}: {exc}") from None
     squares = {gen: frozenset(auth) for gen, auth in doc.squares.items()}
     return OlogMorphism(source, target, functor, components, squares)

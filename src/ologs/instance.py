@@ -368,21 +368,15 @@ def load_bundle(directory, o: Olog) -> Instance:
             or _bind(read_table_file(path), index))
         name = path.stem
         if name in objects:
-            if kind != "tokens" or target != name:
-                raise UnboundHeader(
-                    f"{path.name}: header binds to {target!r}, "
-                    f"not to type {name!r}"
-                )
-            tokens[name] = content
+            expected, word, found = "tokens", "type", tokens
         elif name in gen_names:
-            if kind != "function" or target != name:
-                raise UnboundHeader(
-                    f"{path.name}: header binds to {target!r}, "
-                    f"not to aspect {name!r}"
-                )
-            functions[name] = content
+            expected, word, found = "function", "aspect", functions
         else:
             raise UnboundHeader(f"{path.name}: no type or aspect named {name!r}")
+        if kind != expected or target != name:
+            raise UnboundHeader(f"{path.name}: header binds to {target!r}, "
+                                f"not to {word} {name!r}")
+        found[name] = content
     inst = Instance(o, tokens, functions)
     inst._token_sets.update(token_sets)
     return inst
@@ -400,8 +394,8 @@ def write_bundle(directory, inst: Instance) -> None:
               for obj, toks in inst.tokens.items()]
     for gen, mapping in inst.functions.items():
         g = o.category.generator(gen)
-        rows = tuple((x, mapping[x]) for x in inst.token_set(g.source)
-                     if x in mapping)
+        xs = tuple(filter(mapping.__contains__, inst.token_set(g.source)))
+        rows = tuple(zip(xs, map(mapping.__getitem__, xs)))
         tables.append((gen, InstanceTable(generator_header(o, gen), rows)))
     for name, table in tables:
         if "\r" in "".join(chain(table.header, *table.rows)):
