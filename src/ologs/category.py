@@ -30,6 +30,7 @@ from .errors import (
     UnknownGenerator,
     UnknownObject,
 )
+from .records import record
 from .report import ValidationReport
 
 DEFAULT_BOUND = 8
@@ -43,14 +44,14 @@ _STEPS_PER_EQUATION = 64  # equations and critical pairs examined
 Arrows = tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Generator:
     name: str
     source: str
     target: str
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Path:
     """A composable run of generators; an empty run is the identity."""
 
@@ -65,7 +66,7 @@ class Path:
         return not self.arrows
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Equation:
     """A declared equality between two parallel paths."""
 
@@ -90,7 +91,7 @@ class PathCategory:
         init=False, repr=False, compare=False)
     # Equation sides in both directions, as (from, to) arrow runs keyed
     # by the first arrow of `from`; when `from` is an identity, only `to`,
-    # keyed by its object.
+    # keyed by its object.  Unset until the first `_rewrites` call.
     _rules_by_arrow: dict[str, list[tuple[Arrows, Arrows]]] = field(
         init=False, repr=False, compare=False)
     _rules_by_object: dict[str, list[Arrows]] = field(
@@ -117,21 +118,12 @@ class PathCategory:
         self._eq_index = {e.name: e for e in self.equations}
         if len(self._eq_index) != len(self.equations):
             raise DuplicateId("duplicate equation identifiers")
-        self._rules_by_arrow = {}
-        self._rules_by_object = {}
         for e in self.equations:
             if (self.target_of(e.left) != self.target_of(e.right)
                     or e.left.source != e.right.source):
                 raise ShapeMismatch(
                     f"equation {e.name!r}: sides do not share endpoints"
                 )
-            for frm, to in ((e.left, e.right), (e.right, e.left)):
-                if frm.arrows:
-                    self._rules_by_arrow.setdefault(frm.arrows[0], []).append(
-                        (frm.arrows, to.arrows))
-                else:
-                    self._rules_by_object.setdefault(frm.source, []).append(
-                        to.arrows)
 
     def generator(self, name: str) -> Generator:
         try:
@@ -196,8 +188,10 @@ class PathCategory:
         by the arrow there, and the identity rules keyed by the object
         there (also at the end), can match.
         """
-        by_arrow = self._rules_by_arrow
-        by_object = self._rules_by_object
+        try:
+            by_arrow, by_object = self._rules_by_arrow, self._rules_by_object
+        except AttributeError:
+            by_arrow, by_object = self._index_rules()
         gens = self._gen_index
         out = []
         at = source
@@ -212,6 +206,20 @@ class PathCategory:
         for to in by_object.get(at, ()):
             out.append(arrows + to)
         return out
+
+    def _index_rules(self):
+        """Build and keep the rule index that `_rewrites` matches by."""
+        by_arrow: dict[str, list[tuple[Arrows, Arrows]]] = {}
+        by_object: dict[str, list[Arrows]] = {}
+        for e in self.equations:
+            for frm, to in ((e.left, e.right), (e.right, e.left)):
+                if frm.arrows:
+                    by_arrow.setdefault(frm.arrows[0], []).append(
+                        (frm.arrows, to.arrows))
+                else:
+                    by_object.setdefault(frm.source, []).append(to.arrows)
+        self._rules_by_arrow, self._rules_by_object = by_arrow, by_object
+        return by_arrow, by_object
 
     def _check_parallel(self, p: Path, q: Path) -> None:
         if self.target_of(p) != self.target_of(q) or p.source != q.source:

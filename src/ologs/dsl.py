@@ -65,6 +65,7 @@ from .errors import (
 from .language import AtomicVerb, NounPhrase, UNIT, read_verb
 from .mapping import OlogMorphism
 from .olog import AspectLabel, LinguisticStructure, Olog, TypeLabel
+from .records import record
 
 # Unrolled: runs of word characters other than '-', each '-' not
 # followed by '>'.  The lookaheads refuse an empty word and one that
@@ -85,7 +86,7 @@ def _unquote(body: str) -> str:
     return _ESCAPE.sub(r"\1", body) if "\\" in body else body
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Token:
     kind: str  # WORD | STRING | PUNCT | ARROW
     value: str

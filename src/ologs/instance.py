@@ -25,6 +25,7 @@ from .errors import (
 )
 from .language import correspondence_header, read_correspondence, read_sentence
 from .olog import Olog, generator_sentence
+from .records import record
 from .report import ValidationReport
 
 
@@ -140,7 +141,7 @@ def validate_instance(inst: Instance) -> ValidationReport:
     return report
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class InstanceTable:
     header: tuple[str, ...]
     rows: tuple[tuple[str, ...], ...]
@@ -154,7 +155,7 @@ class InstanceTable:
             raise ValueError("duplicate rows")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TableBinding:
     """What a table contributes to an instance: tokens or a function."""
 

@@ -9,10 +9,10 @@ compose by intersection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
 from .errors import BadNounPhrase, BadVerbPhrase, ShapeMismatch
+from .records import record
 
 AuthorSet = frozenset
 
@@ -25,7 +25,7 @@ def intersect_authors(a: AuthorSet, b: AuthorSet) -> AuthorSet:
     return a & b
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class NounPhrase:
     text: str
 
@@ -44,12 +44,12 @@ class NounPhrase:
         return self.text.split(" ", 1)[1]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class UnitVerb:
     """The distinguished verb phrase read "is of course"."""
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AtomicVerb:
     text: str
 
@@ -58,7 +58,7 @@ class AtomicVerb:
             raise BadVerbPhrase("verb phrase text must be nonempty")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ConcatVerb:
     """V1 then V2 through the noun phrase N2 between them.
 
@@ -163,7 +163,7 @@ def read_verb(v: VerbPhrase) -> str:
     return "".join(parts)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Sentence:
     subject: NounPhrase
     verb: VerbPhrase

@@ -19,16 +19,17 @@ from .language import (
     VerbPhrase,
     read_equivalence,
 )
+from .records import record
 from .report import ValidationReport
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TypeLabel:
     noun: NounPhrase
     authors: AuthorSet
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AspectLabel:
     verb: VerbPhrase
     authors: AuthorSet

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .records import record
 
-@dataclass(frozen=True, slots=True)
+
+@record
 class Finding:
     code: str
     message: str

@@ -38,6 +38,11 @@ copied from the checkout holding this script to a temporary directory,
 whose path reads as `<corpus>` in every output and message.  Any
 difference in exit code, stdout, stderr or written files is printed and
 makes the exit status 1; the last line counts the invocations compared.
+With `--expect FILE`, the invocations the file lists, one a line as the
+corpus prints them (`<corpus>` and all; blank lines are skipped), must
+differ: their differences are marked `(expected)`, and the exit status
+is 1 only for a difference the file does not list or a listed
+invocation that did not change.
 Stdlib only; nothing in `ologs` imports this script.
 """
 
@@ -299,21 +304,30 @@ def corpus_call(cli, argv: list[str], directory: Path) -> tuple:
             stderr.replace(place, "<corpus>"), written(argv))
 
 
-def compare_corpus(clis, seed: int) -> bool:
+def compare_corpus(clis, seed: int,
+                   expected: frozenset[str] = frozenset()) -> bool:
+    """Run the corpus on both sides; true when exactly the `expected`
+    invocations, as the corpus prints them, differ."""
+    unchanged = set(expected)
     with tempfile.TemporaryDirectory(prefix="ab-corpus-") as name:
         directory = Path(name)
         invocations = corpus_invocations(directory, seed)
-        differing = 0
+        differing = unexpected = 0
         for argv in invocations:
             found = difference(*(corpus_call(cli, argv, directory)
                                  for cli in clis))
             if found:
                 differing += 1
                 where = " ".join(argv).replace(name, "<corpus>")
-                print(f"{where}: {found}")
+                listed = where in expected
+                unexpected += not listed
+                unchanged.discard(where)
+                print(f"{where}: {found}{' (expected)' if listed else ''}")
+    for where in sorted(unchanged):
+        print(f"{where}: expected to differ, but did not")
     print(f"corpus fixtures: {len(invocations)} invocations compared, "
           f"{differing} differ")
-    return differing == 0
+    return not unexpected and not unchanged
 
 
 def main(argv=None) -> int:
@@ -335,13 +349,22 @@ def main(argv=None) -> int:
     parser.add_argument("--corpus", choices=["fixtures"],
                         help="compare the outputs of the fixture corpus "
                              "instead of timing workloads")
+    parser.add_argument("--expect", type=Path, metavar="FILE",
+                        help="with --corpus: the invocations, one a line as "
+                             "the corpus prints them, that must differ")
     args = parser.parse_args(argv)
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
+    if args.expect and not args.corpus:
+        parser.error("--expect needs --corpus")
     clis = [load_cli(args.old.resolve(), "ologs_old"),
             load_cli(args.new.resolve(), "ologs_new")]
     if args.corpus:
-        return 0 if compare_corpus(clis, args.seed) else 1
+        expected = frozenset()
+        if args.expect:
+            lines = args.expect.read_text(encoding="utf-8").splitlines()
+            expected = frozenset(filter(None, map(str.strip, lines)))
+        return 0 if compare_corpus(clis, args.seed, expected) else 1
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
     ok = True
     for name in names:
