@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .errors import (
@@ -95,10 +96,6 @@ class PathCategory:
     _rules_by_arrow: dict[str, list[tuple[Arrows, Arrows]]] = field(
         init=False, repr=False, compare=False)
     _rules_by_object: dict[str, list[Arrows]] = field(
-        init=False, repr=False, compare=False)
-    # The completed equations: unset until the first `rewriting` call,
-    # then a RewriteSystem, or None when completion gave up.
-    _completion: RewriteSystem | None = field(
         init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -229,21 +226,21 @@ class PathCategory:
         """The equations completed to a confluent rewriting system, built
         on the first call and kept; None when completion exceeds its
         budget."""
-        try:
-            return self._completion
-        except AttributeError:
-            self._completion = RewriteSystem.complete(
-                self._gen_index,
-                [(e.left.arrows, e.right.arrows) for e in self.equations])
-            return self._completion
+        return self._completion
+
+    @cached_property
+    def _completion(self) -> RewriteSystem | None:
+        return RewriteSystem.complete(
+            self._gen_index,
+            [(e.left.arrows, e.right.arrows) for e in self.equations])
 
     def decide_equal(self, p: Path, q: Path, bound: int = DEFAULT_BOUND) -> bool:
         """Decide p = q: exactly, by normal forms, when the equations
         complete within budget; otherwise by path_equal(p, q, bound)."""
-        self._check_parallel(p, q)
         system = self.rewriting()
         if system is None:
             return self.path_equal(p, q, bound)
+        self._check_parallel(p, q)
         return system.normal_form(p.arrows) == system.normal_form(q.arrows)
 
     def path_equal(self, p: Path, q: Path, bound: int = DEFAULT_BOUND) -> bool:
@@ -460,12 +457,11 @@ def validate_functor(f: CatFunctor, bound: int = DEFAULT_BOUND) -> ValidationRep
     """Check endpoint constraints and equation preservation."""
     report = ValidationReport()
     src, dst = f.source, f.target
-    dst_objects = set(dst.objects)
     for obj in src.objects:
         image = f.object_map.get(obj)
         if image is None:
             report.add("missing-object-image", f"object {obj!r} has no image")
-        elif image not in dst_objects:
+        elif image not in dst._object_set:
             report.add("bad-object-image",
                        f"object {obj!r} maps to unknown object {image!r}")
     for g in src.generators:

@@ -159,8 +159,6 @@ def cmd_check_mapping(args) -> int:
             return _emit(report, args.json)
         components = _load_correspondences(doc, base, m, pairs=False)
         for obj, pairs in components.items():
-            if isinstance(pairs, dict):
-                continue
             components[obj] = dict(pairs)
             if len(components[obj]) != len(pairs):  # a key repeats
                 keys = sorted(x for x, _ in pairs)

@@ -412,18 +412,13 @@ def olog_from_document(doc: OlogDocument) -> Olog:
                 f"fact {fact_name!r}: both sides are identity paths; "
                 f"the object cannot be inferred"
             )
-        if ids is None:
-            first = other_ids[0]
-            if first not in declared_aspects:
-                raise DanglingReference(
-                    f"fact {fact_name!r} refers to undeclared aspect {first!r}"
-                )
-            return Path(declared_aspects[first].source)
-        for gen in ids:
+        for gen in other_ids[:1] if ids is None else ids:
             if gen not in declared_aspects:
                 raise DanglingReference(
                     f"fact {fact_name!r} refers to undeclared aspect {gen!r}"
                 )
+        if ids is None:
+            return Path(declared_aspects[other_ids[0]].source)
         return Path(declared_aspects[ids[0]].source, tuple(ids))
 
     equations = []

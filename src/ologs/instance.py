@@ -187,18 +187,14 @@ def _bind(table: InstanceTable, index: dict) -> tuple[str, str, object]:
     """The kind, the type or aspect, and the tokens or token function that
     a table's header binds it to."""
     matches = index.get(table.header, [])
-    if len(table.header) == 1:
-        if not matches:
-            raise UnboundHeader(f"no type reads {table.header[0]!r}")
-        if len(matches) > 1:
-            raise AmbiguousHeader(
-                f"header {table.header[0]!r} matches types {matches}"
-            )
-        return "tokens", matches[0], tuple(row[0] for row in table.rows)
+    word, shown = (("type", table.header[0]) if len(table.header) == 1
+                   else ("aspect", table.header))
     if not matches:
-        raise UnboundHeader(f"no aspect reads {table.header!r}")
+        raise UnboundHeader(f"no {word} reads {shown!r}")
     if len(matches) > 1:
-        raise AmbiguousHeader(f"header {table.header!r} matches aspects {matches}")
+        raise AmbiguousHeader(f"header {shown!r} matches {word}s {matches}")
+    if word == "type":
+        return "tokens", matches[0], tuple(row[0] for row in table.rows)
     mapping = dict(table.rows)
     if len(mapping) != len(table.rows):
         seen = set()

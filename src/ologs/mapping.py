@@ -26,6 +26,7 @@ from .olog import (
     AspectLabel,
     LinguisticStructure,
     Olog,
+    _unendorsed,
     derived_aspect,
     derived_authors,
 )
@@ -118,11 +119,8 @@ def validate_linguistic_functor(
         allowed = src.type_authors(c) & dst.type_authors(f.apply_object(c))
         extra = comp.authors - allowed
         if extra:
-            report.add(
-                "component-author-violation",
-                f"authors {sorted(extra)} of component at {c!r} do not "
-                f"endorse both types",
-            )
+            report.add("component-author-violation", _unendorsed(
+                extra, f"component at {c!r}", "types"))
     if not report.ok:
         return report
     for g in src.category.generators:
@@ -136,11 +134,8 @@ def validate_linguistic_functor(
         )
         extra = fact - (down_then_across & across_then_down)
         if extra:
-            report.add(
-                "square-author-violation",
-                f"authors {sorted(extra)} of the square at {g.name!r} do not "
-                f"endorse both composite aspects",
-            )
+            report.add("square-author-violation", _unendorsed(
+                extra, f"the square at {g.name!r}", "composite aspects"))
         elif not fact:
             # Legal (facts may go unendorsed) but worth surfacing.
             report.warn(

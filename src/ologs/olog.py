@@ -67,7 +67,7 @@ def derived_aspect(o: Olog, p: Path) -> AspectLabel:
     the unit verb phrase endorsed by the authors of its object.
     """
     verb, _ = _derived_verb(o, p)
-    return AspectLabel(verb, derived_authors(o, p))
+    return AspectLabel(verb, _authors_along(o, p))
 
 
 def _derived_verb(o: Olog, p: Path) -> tuple[VerbPhrase, str]:
@@ -129,11 +129,8 @@ def validate_olog(o: Olog) -> ValidationReport:
                        & structure.type_labels[g.target].authors)
             extra = label.authors - allowed
             if extra:
-                report.add(
-                    "aspect-author-violation",
-                    f"authors {sorted(extra)} of aspect {g.name!r} do not "
-                    f"endorse both endpoint types",
-                )
+                report.add("aspect-author-violation", _unendorsed(
+                    extra, f"aspect {g.name!r}", "endpoint types"))
     if not report.ok:
         return report
     for eq in o.category.equations:
@@ -146,12 +143,14 @@ def validate_olog(o: Olog) -> ValidationReport:
         allowed = _authors_along(o, eq.left) & _authors_along(o, eq.right)
         extra = fact - allowed
         if extra:
-            report.add(
-                "fact-author-violation",
-                f"authors {sorted(extra)} of fact {eq.name!r} do not "
-                f"endorse both derived aspects",
-            )
+            report.add("fact-author-violation", _unendorsed(
+                extra, f"fact {eq.name!r}", "derived aspects"))
     return report
+
+
+def _unendorsed(extra: AuthorSet, label: str, ends: str) -> str:
+    """The finding for a label's authors who do not endorse both its ends."""
+    return f"authors {sorted(extra)} of {label} do not endorse both {ends}"
 
 
 def read_fact(o: Olog, eq_name: str) -> str:
