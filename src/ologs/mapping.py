@@ -30,7 +30,7 @@ from .olog import (
     derived_aspect,
     derived_authors,
 )
-from .instance import Instance, InstanceTable, path_table
+from .instance import Instance, InstanceTable, _compose, path_table
 from .report import ValidationReport
 
 DEFAULT_SEARCH_LIMIT = 10 ** 6
@@ -187,9 +187,10 @@ def naturality_squares(m: OlogMorphism, i: Instance, j: Instance):
     Components p make the square commute when F(g)[p(x)] == p(g(x)).
     """
     for g in m.source.category.generators:
-        image = path_table(j, m.functor.apply(Path(g.source, (g.name,))))
+        arrow = Path(g.source, (g.name,))
+        image = path_table(j, m.functor.apply(arrow))
         xs = i.token_set(g.source)
-        yield g, image, xs, list(map(i.function(g.name).__getitem__, xs))
+        yield g, image, xs, _compose(i, arrow, xs)
 
 
 def check_naturality(p: InstanceMorphism) -> ValidationReport:

@@ -1,14 +1,15 @@
 """Readings after the fast paths of read_verb, read_sentence and
 read_equivalence.
 
-read_verb returns an atomic verb's text at once and tests exact classes
-before isinstance; the sentence readings format noun phrases by their
-text.  All three must read every verb as a plain recursion over its
-tree does: the unit verb, composites whose right operand is itself
-composite, and subclasses of AtomicVerb and ConcatVerb.  On an olog
-pulled back along a mapping that sends aspects to paths of several
-arrows, `olog read --facts` and `read --facts --json` must print exactly
-the recursive readings of the pulled-back labels.
+read_verb returns an atomic verb's text at once and walks a composite
+with an explicit stack, testing each verb class once with isinstance;
+the sentence readings format noun phrases by their text.  All three
+must read every verb as a plain recursion over its tree does: the unit
+verb, composites whose right operand is itself composite, and
+subclasses of AtomicVerb and ConcatVerb.  On an olog pulled back along
+a mapping that sends aspects to paths of several arrows,
+`olog read --facts` and `read --facts --json` must print exactly the
+recursive readings of the pulled-back labels.
 """
 
 import json
