@@ -12,7 +12,6 @@ import csv
 import errno
 import os
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path as FsPath
 
 from .category import Path
@@ -241,20 +240,16 @@ class _Lines(list):
 
 
 def write_table_file(path, table: InstanceTable) -> None:
-    """Write what this Python's `csv.writer(lineterminator="\\n")` writes."""
-    _write_table(path, table, "\n")
-
-
-def _write_table(path, table: InstanceTable, terminator: str) -> None:
-    """Write what `csv.writer(lineterminator=terminator)` writes, each line
-    ended by a newline, in one `write`; "\\r\\n" quotes a field holding a
-    carriage return, as Python 3.13 does with "\\n".  The rows go through
-    `csv.writer` only when their comma-and-newline join shows that some
-    field needs quoting: a quote, carriage return or NUL, comma or
-    newline counts other than plain rows have, or an empty field in a
-    one-column table."""
+    """Write what Python 3.13's `csv.writer(lineterminator="\\n")` writes,
+    on every version, in one `write`, so the table reads back: "\\r\\n" as
+    terminator quotes a field holding a carriage return, which "\\n" does
+    only from 3.13, and each line's "\\r\\n" then becomes "\\n".  The
+    rows go through `csv.writer` only when their comma-and-newline join
+    shows that some field needs quoting: a quote, carriage return or NUL,
+    comma or newline counts other than plain rows have, or an empty field
+    in a one-column table."""
     lines = _Lines()
-    writer = csv.writer(lines, lineterminator=terminator)
+    writer = csv.writer(lines, lineterminator="\r\n")
     writer.writerow(table.header)
     rows, width = table.rows, len(table.header)
     body = "\n".join(map(",".join, rows)) + "\n"
@@ -265,8 +260,7 @@ def _write_table(path, table: InstanceTable, terminator: str) -> None:
         writer.writerows(rows)
         body = ""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write("".join(line[:-len(terminator)] + "\n" for line in lines)
-                     + body)
+        handle.write("".join(line[:-2] + "\n" for line in lines) + body)
 
 
 # Every byte but the separators of a plain table, for `bytes.translate`.
@@ -380,10 +374,7 @@ def load_bundle(directory, o: Olog) -> Instance:
 
 
 def write_bundle(directory, inst: Instance) -> None:
-    """Write one table per type and aspect as Python 3.13's `csv.writer`
-    does, so that it reads back: before 3.13 it leaves a carriage return
-    unquoted, and `csv.reader` ends the row there.  Other tables, the same
-    on every version, go through `write_table_file`."""
+    """Write one table per type and aspect by `write_table_file`."""
     directory = FsPath(directory)
     directory.mkdir(parents=True, exist_ok=True)
     o = inst.olog
@@ -395,10 +386,7 @@ def write_bundle(directory, inst: Instance) -> None:
         rows = tuple(zip(xs, map(mapping.__getitem__, xs)))
         tables.append((gen, InstanceTable(generator_header(o, gen), rows)))
     for name, table in tables:
-        if "\r" in "".join(chain(table.header, *table.rows)):
-            _write_table(directory / f"{name}.csv", table, "\r\n")
-        else:
-            write_table_file(directory / f"{name}.csv", table)
+        write_table_file(directory / f"{name}.csv", table)
 
 
 def instance_sentences(inst: Instance) -> list[str]:

@@ -24,7 +24,7 @@ def ab_corpus(old, new):
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), str(old), str(new),
          "--corpus", "fixtures"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, encoding="utf-8", timeout=300)
 
 
 def test_a_checkout_compared_with_itself_passes_with_tables():

@@ -17,7 +17,7 @@ def ab(old, new, *args):
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), str(old), str(new),
          "--tiny", "--rounds", "2", *args],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, encoding="utf-8", timeout=300)
 
 
 def test_equal_checkouts_print_a_ratio():

@@ -31,7 +31,7 @@ def ab(old, new):
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "ab.py"), str(old), str(new),
          "--tiny", "--rounds", "2", "--workload", "instance-data"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, encoding="utf-8", timeout=300)
 
 
 def test_equal_checkouts_write_equal_files():

@@ -197,7 +197,7 @@ class TestFiles:
 
     def test_empty_table_file(self, tmp_path):
         path = tmp_path / "empty.csv"
-        path.write_text("")
+        path.write_text("", encoding="utf-8")
         with pytest.raises(ValueError):
             read_table_file(path)
 
