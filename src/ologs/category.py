@@ -17,7 +17,7 @@ answer only means "not proved within the bound".
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
 
@@ -84,21 +84,10 @@ class PathCategory:
     objects: tuple[str, ...]
     generators: tuple[Generator, ...]
     equations: tuple[Equation, ...] = ()
-    # Indexes derived from the presentation; equality ignores them.
-    _gen_index: dict[str, Generator] = field(
-        init=False, repr=False, compare=False)
-    _object_set: frozenset[str] = field(init=False, repr=False, compare=False)
-    _eq_index: dict[str, Equation] = field(
-        init=False, repr=False, compare=False)
-    # Equation sides in both directions, as (from, to) arrow runs keyed
-    # by the first arrow of `from`; when `from` is an identity, only `to`,
-    # keyed by its object.  Unset until the first `_rewrites` call.
-    _rules_by_arrow: dict[str, list[tuple[Arrows, Arrows]]] = field(
-        init=False, repr=False, compare=False)
-    _rules_by_object: dict[str, list[Arrows]] = field(
-        init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # Indexes derived from the presentation, kept as plain attributes,
+        # not fields, so `==` and `repr` see the presentation alone.
         self._object_set = frozenset(self.objects)
         if len(self._object_set) != len(self.objects):
             raise UnknownObject("duplicate object identifiers")
@@ -185,10 +174,7 @@ class PathCategory:
         by the arrow there, and the identity rules keyed by the object
         there (also at the end), can match.
         """
-        try:
-            by_arrow, by_object = self._rules_by_arrow, self._rules_by_object
-        except AttributeError:
-            by_arrow, by_object = self._index_rules()
+        by_arrow, by_object = self._rules
         gens = self._gen_index
         out = []
         at = source
@@ -204,8 +190,12 @@ class PathCategory:
             out.append(arrows + to)
         return out
 
-    def _index_rules(self):
-        """Build and keep the rule index that `_rewrites` matches by."""
+    @cached_property
+    def _rules(self):
+        """The rule index that `_rewrites` matches by, built on the first
+        rewrite: equation sides in both directions, as (from, to) arrow
+        runs keyed by the first arrow of `from`; when `from` is an
+        identity, only `to`, keyed by its object."""
         by_arrow: dict[str, list[tuple[Arrows, Arrows]]] = {}
         by_object: dict[str, list[Arrows]] = {}
         for e in self.equations:
@@ -215,7 +205,6 @@ class PathCategory:
                         (frm.arrows, to.arrows))
                 else:
                     by_object.setdefault(frm.source, []).append(to.arrows)
-        self._rules_by_arrow, self._rules_by_object = by_arrow, by_object
         return by_arrow, by_object
 
     def _check_parallel(self, p: Path, q: Path) -> None:
@@ -292,10 +281,9 @@ class RewriteSystem:
         self._code = {name: chr(i) for i, name in enumerate(self._names)}
         self._rules: dict[str, str] = {}
         # Left sides by last letter, to match the top of the stack; by
-        # first letter, for overlaps; by every letter, to find the rules
-        # that a new rule makes reducible.
+        # every letter, for overlaps and to find the rules that a new
+        # rule makes reducible.
         self._by_last: dict[str, list[tuple[str, str]]] = {}
-        self._by_first: dict[str, list[str]] = {}
         self._by_letter: dict[str, set[str]] = {}
 
     @classmethod
@@ -367,14 +355,12 @@ class RewriteSystem:
     def _add(self, lhs: str, rhs: str) -> None:
         self._rules[lhs] = rhs
         self._by_last.setdefault(lhs[-1], []).append((lhs, rhs))
-        self._by_first.setdefault(lhs[0], []).append(lhs)
         for c in set(lhs):
             self._by_letter.setdefault(c, set()).add(lhs)
 
     def _remove(self, lhs: str) -> str:
         rhs = self._rules.pop(lhs)
         self._by_last[lhs[-1]].remove((lhs, rhs))
-        self._by_first[lhs[0]].remove(lhs)
         for c in set(lhs):
             self._by_letter[c].discard(lhs)
         return rhs
@@ -387,7 +373,7 @@ class RewriteSystem:
         out = []
         for i in range(1, len(lhs)):
             head, tail = lhs[:i], lhs[i:]
-            for other in self._by_first.get(tail[0], ()):
+            for other in self._by_letter.get(tail[0], ()):
                 if len(other) > len(tail) and other.startswith(tail):
                     out.append((rhs + other[len(tail):],
                                 head + self._rules[other]))

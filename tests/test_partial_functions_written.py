@@ -3,8 +3,9 @@
 A token function may lack some source tokens, hold keys that are not
 tokens, and list its keys in any order.  The written aspect table has one
 row per source token that the function maps, in token order; the missing
-token has no row and the extra key is dropped.  Both writers are covered:
-the plain one, and the one that quotes a carriage return.
+token has no row and the extra key is dropped.  The two cases reach
+both paths of `write_table_file`: the joined one, and the `csv.writer`
+one.
 """
 
 import pytest

@@ -6,9 +6,11 @@ calls; its signature lists its fields with their defaults; a missing or
 unknown argument is a TypeError; checks in `__post_init__` still run;
 and a subclass is built as itself.
 
-`PathCategory` indexes its equations as rewrite rules on the first
-rewrite: `olog validate` and `olog read --facts` never build the index,
-and `path_equal` builds it and answers as the union-find oracle does.
+`PathCategory` indexes its equations as rewrite rules in the cached
+property `_rules`, built on the first rewrite: `olog validate` and
+`olog read --facts` do no rewriting, a loaded category holds no index
+until a rewrite runs, and `path_equal` builds it and answers as the
+union-find oracle does.
 """
 
 import dataclasses
@@ -146,32 +148,34 @@ def test_validate_and_read_build_no_rewrite_index(tmp_path, monkeypatch,
                                                   capsys):
     path = tmp_path / "grid.olog"
     path.write_text(grid_text(3, skip=(1, 1)), encoding="utf-8")
-    built = []
-    index_rules = PathCategory._index_rules
-    monkeypatch.setattr(PathCategory, "_index_rules",
-                        lambda self: built.append(self) or index_rules(self))
+    rewrote = []
+    rewrites = PathCategory._rewrites
+    monkeypatch.setattr(
+        PathCategory, "_rewrites",
+        lambda self, *args: rewrote.append(args) or rewrites(self, *args))
     assert cli.main(["validate", str(path)]) == 0
     assert cli.main(["read", str(path), "--facts"]) == 0
     assert "y1 and y2 are the same" in capsys.readouterr().out
-    assert built == []
+    assert rewrote == []
     category = load_olog(path).category
-    assert not hasattr(category, "_rules_by_arrow")
+    assert "_rules" not in vars(category)
     p = monotone_paths(3)[0]
     assert category.path_equal(p, p)  # equal as written: no rewrite
-    assert built == []
+    assert rewrote == []
+    assert "_rules" not in vars(category)
 
 
 def test_path_equal_builds_the_index_and_answers_as_the_oracle(tmp_path):
     path = tmp_path / "grid.olog"
     path.write_text(grid_text(2, skip=(0, 1)), encoding="utf-8")
     category = load_olog(path).category
-    assert not hasattr(category, "_rules_by_arrow")
+    assert "_rules" not in vars(category)
     paths = monotone_paths(2)
     classes = congruence_closure(category, paths)
     assert classes is not None
     answers = {(p, q): category.path_equal(p, q)
                for p in paths for q in paths}
-    assert hasattr(category, "_rules_by_arrow")
+    assert "_rules" in vars(category)
     assert answers == {(p, q): classes[p] == classes[q]
                        for p in paths for q in paths}
     assert not all(answers.values()) and sum(answers.values()) > len(paths)
