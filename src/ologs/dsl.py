@@ -50,8 +50,8 @@ from __future__ import annotations
 
 import functools
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .category import CatFunctor, Equation, Generator, Path, PathCategory
 from .errors import (
@@ -181,26 +181,11 @@ class _LineParser:
 
 
 # Declarations are named tuples: cheap to build once per line, and
-# never equal across kinds, whose field counts differ.
-class TypeDecl(NamedTuple):
-    name: str
-    noun: str
-    authors: tuple[str, ...]
-
-
-class AspectDecl(NamedTuple):
-    name: str
-    source: str
-    target: str
-    verb: str
-    authors: tuple[str, ...]
-
-
-class FactDecl(NamedTuple):
-    name: str
-    left: tuple[str, ...] | None  # None encodes the identity path
-    right: tuple[str, ...] | None
-    authors: tuple[str, ...]
+# never equal across kinds, whose field counts differ.  Authors and each
+# fact side are tuples of ids; a side of None is the identity path.
+TypeDecl = namedtuple("TypeDecl", "name noun authors")
+AspectDecl = namedtuple("AspectDecl", "name source target verb authors")
+FactDecl = namedtuple("FactDecl", "name left right authors")
 
 
 @dataclass

@@ -9,8 +9,6 @@ compose by intersection.
 
 from __future__ import annotations
 
-from typing import Union
-
 from .errors import BadNounPhrase, BadVerbPhrase, ShapeMismatch
 from .records import record
 
@@ -132,7 +130,7 @@ def _repr_part(v):
     return v if isinstance(v, ConcatVerb) else repr(v)
 
 
-VerbPhrase = Union[UnitVerb, AtomicVerb, ConcatVerb]
+VerbPhrase = UnitVerb | AtomicVerb | ConcatVerb
 
 UNIT = UnitVerb()
 

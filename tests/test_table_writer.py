@@ -75,7 +75,7 @@ def check_seed(seed, pieces, tmp_path):
     assert inst.functions == {"f": dict(tables["f"].rows)}, seed
 
 
-def test_written_bytes_equal_csv_writer(tmp_path):
+def test_written_bytes_equal_the_3_13_writer_rule(tmp_path):
     for seed in range(400):
         check_seed(seed, PIECES, tmp_path)
 
@@ -86,7 +86,7 @@ def test_tables_without_carriage_returns_read_back(tmp_path):
         check_seed(seed, pieces, tmp_path)
 
 
-def test_plain_tables_equal_csv_writer_and_read_back(tmp_path):
+def test_plain_tables_equal_the_3_13_writer_rule_and_read_back(tmp_path):
     # Only pieces csv.writer never quotes, but for an empty field in a
     # one-column table: the joined text is taken for most rows here.
     for seed in range(800, 1000):
