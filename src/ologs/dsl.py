@@ -62,6 +62,7 @@ from .errors import (
     ShapeMismatch,
     UnknownGenerator,
 )
+from .instance import _read_utf8
 from .language import AtomicVerb, NounPhrase, UNIT, read_verb
 from .mapping import OlogMorphism
 from .olog import AspectLabel, LinguisticStructure, Olog, TypeLabel
@@ -461,12 +462,17 @@ def document_from_olog(o: Olog) -> OlogDocument:
 
 
 def read_text(path) -> str:
-    """A document's text; a file that is not UTF-8 is a ValueError naming it."""
-    with open(path, encoding="utf-8") as handle:
-        try:
-            return handle.read()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    """A document's text, read by `instance._read_utf8`, with "\\r\\n" and
+    a lone "\\r" read as "\\n", as text mode reads them; a file that is
+    not UTF-8 is a ValueError naming it and the byte's position in the
+    whole file."""
+    try:
+        text = _read_utf8(path)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def load_olog(path) -> Olog:

@@ -224,6 +224,14 @@ def render_correspondences(inst: Instance, gen: str) -> list[str]:
     ]
 
 
+def _read_utf8(path) -> str:
+    """A file's text by one unbuffered binary read and one strict UTF-8
+    decode: a byte that is not UTF-8 raises UnicodeDecodeError at its
+    position in the whole file, and newlines are not translated."""
+    with open(path, "rb", buffering=0) as handle:
+        return handle.read().decode("utf-8")
+
+
 def read_table_file(path) -> InstanceTable:
     with open(path, newline="", encoding="utf-8") as handle:
         try:
@@ -271,8 +279,12 @@ def _load_plain(path, index: dict, pairs: bool = False, token_sets=None):
     """What `_bind(read_table_file(path), index)` returns, read by bulk
     string splits, or None where that takes more than splits to decide.
 
-    Only the header goes through `csv.reader`.  The body is read whole
-    and taken only when it is plain: no quote, carriage return or NUL
+    The file is read by `_read_utf8`, and only its first line, up to
+    and with the first newline, goes through `csv.reader`, in strict
+    mode: a header that line does not hold whole (a quoted field that
+    runs on, a carriage return that ends a record early) is left to the
+    fallback.  The rest, the body, is taken only when it is plain: no
+    quote, carriage return or NUL
     (so `csv.reader` would split it on newlines and commas alone), no
     blank line, no field over `csv.field_size_limit()`, one comma per
     line of a two-column table, and no repeated token or key.  Every
@@ -286,11 +298,12 @@ def _load_plain(path, index: dict, pairs: bool = False, token_sets=None):
     rows, as `correspondence_pairs` reads it, and a key may repeat.
     """
     try:
-        with open(path, newline="", encoding="utf-8") as handle:
-            header = tuple(next(csv.reader(handle), ()))
-            body = handle.read()
+        text = _read_utf8(path)
+        end = text.find("\n") + 1 or len(text)
+        header = tuple(next(csv.reader((text[:end],), strict=True)))
     except (csv.Error, OSError, ValueError):
         return None
+    body = text[end:]
     matches = index.get(header, ())
     if len(matches) != 1 or '"' in body or "\r" in body or "\0" in body:
         return None
@@ -342,30 +355,46 @@ def load_bundle(directory, o: Olog) -> Instance:
     `load_table`.  The plain reader's token sets become the instance's,
     so each type's tokens are hashed once.  The checks then compose and
     compare whole tables too (see `_compose`).
+
+    The directory is listed by one `os.scandir` on its pathlib form;
+    its entries named "*.csv" (".x.csv" and directories too) are read in
+    name order, by `str` paths that name them as `FsPath(directory) /
+    name`.  A path that is not a directory is an ENOENT or ENOTDIR
+    OSError, as `Path.is_dir` and `exists` tell them apart; a directory
+    that cannot be listed raises `scandir`'s OSError.
     """
-    directory = FsPath(directory)
-    if not directory.is_dir():
-        code = errno.ENOTDIR if directory.exists() else errno.ENOENT
-        raise OSError(code, os.strerror(code), str(directory))
+    directory = str(FsPath(directory))
+    try:
+        with os.scandir(directory) as entries:
+            names = sorted(entry.name for entry in entries
+                           if entry.name.endswith(".csv"))
+    except (OSError, ValueError):
+        listed = FsPath(directory)
+        if listed.is_dir():
+            raise
+        code = errno.ENOTDIR if listed.exists() else errno.ENOENT
+        raise OSError(code, os.strerror(code), directory) from None
+    prefix = "" if directory == "." else os.path.join(directory, "")
     index = _header_index(o)
     objects = set(o.category.objects)
     gen_names = {g.name for g in o.category.generators}
     tokens: dict[str, tuple[str, ...]] = {}
     functions: dict[str, dict[str, str]] = {}
     token_sets: dict[str, set[str]] = {}
-    for path in sorted(directory.glob("*.csv")):
+    for file_name in names:
+        path = prefix + file_name
         kind, target, content = (
             _load_plain(path, index, token_sets=token_sets)
             or _bind(read_table_file(path), index))
-        name = path.stem
+        name = file_name[:-4] or file_name  # FsPath(".csv").stem is ".csv"
         if name in objects:
             expected, word, found = "tokens", "type", tokens
         elif name in gen_names:
             expected, word, found = "function", "aspect", functions
         else:
-            raise UnboundHeader(f"{path.name}: no type or aspect named {name!r}")
+            raise UnboundHeader(f"{file_name}: no type or aspect named {name!r}")
         if kind != expected or target != name:
-            raise UnboundHeader(f"{path.name}: header binds to {target!r}, "
+            raise UnboundHeader(f"{file_name}: header binds to {target!r}, "
                                 f"not to {word} {name!r}")
         found[name] = content
     inst = Instance(o, tokens, functions)
