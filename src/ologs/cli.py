@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from pathlib import Path as FsPath
@@ -31,7 +32,7 @@ from .instance import (
     validate_instance,
     write_bundle,
 )
-from .language import read_fact_lines, read_sentence
+from .language import fact_lines
 from .mapping import (
     DEFAULT_SEARCH_LIMIT,
     InstanceMorphism,
@@ -43,7 +44,7 @@ from .mapping import (
     search_conforming,
     validate_linguistic_functor,
 )
-from .olog import derived_sentence, generator_sentence, validate_olog
+from .olog import validate_olog
 from .report import ValidationReport
 
 
@@ -104,14 +105,14 @@ def cmd_validate(args) -> int:
 
 def cmd_read(args) -> int:
     olog = load_olog(args.olog_file)
-    lines = []
-    for g in olog.category.generators:
-        lines.append(("sentence", read_sentence(generator_sentence(olog, g.name))))
+    predicates = olog.aspect_predicates
+    lines = [("sentence", f"{olog.noun(g.source).text} {predicates[g.name]}")
+             for g in olog.category.generators]
     if args.facts:
         for eq in olog.category.equations:
-            left, right, fact = read_fact_lines(
-                derived_sentence(olog, eq.left),
-                derived_sentence(olog, eq.right))
+            left, right, fact = fact_lines(olog.noun(eq.left.source),
+                                           olog.predicate(eq.left),
+                                           olog.predicate(eq.right))
             lines += (("sentence", left), ("sentence", right), ("fact", fact))
     if args.json:
         # Readings are not findings: the report is ok.
@@ -319,6 +320,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code else 0
+    # Commands build no reference cycles: the collector pauses while one runs.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except ParseError as exc:
@@ -327,6 +331,9 @@ def main(argv=None) -> int:
     except (OlogError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -168,39 +168,56 @@ class Sentence:
     obj: NounPhrase
 
 
+def predicate(verb: VerbPhrase, obj: NounPhrase) -> str:
+    """The reading of a verb and its object: "V N"."""
+    return f"{read_verb(verb)} {obj.text}"
+
+
+def join_predicates(predicates: list[str], obj: NounPhrase) -> str:
+    """A path's predicate from its aspects' predicates in order, "V1 N2,
+    which V2 N3"; a path with none is the identity at obj."""
+    return ", which ".join(predicates) if predicates else predicate(UNIT, obj)
+
+
 def read_sentence(s: Sentence) -> str:
-    return f"{s.subject.text} {read_verb(s.verb)} {s.obj.text}"
+    return f"{s.subject.text} {predicate(s.verb, s.obj)}"
 
 
 def read_equivalence(s1: Sentence, s2: Sentence) -> str:
-    """English reading of a declared equivalence between parallel sentences.
-
-    The subject keeps its bare noun after "For any", matching how such
-    readings are conventionally printed ("For any integer x, ...").
-    """
-    return read_fact_lines(s1, s2)[2]
+    """English reading of a declared equivalence between parallel sentences."""
+    return equivalence_reading(s1.subject, *_parallel_predicates(s1, s2))
 
 
 def read_fact_lines(s1: Sentence, s2: Sentence) -> tuple[str, str, str]:
-    """The readings of s1, of s2 and of their equivalence, from one
-    reading of each verb."""
+    """The readings of s1, of s2 and of their equivalence."""
+    return fact_lines(s1.subject, *_parallel_predicates(s1, s2))
+
+
+def _parallel_predicates(s1: Sentence, s2: Sentence) -> tuple[str, str]:
     if s1.subject != s2.subject or s1.obj != s2.obj:
         raise ShapeMismatch("equivalent sentences must share subject and object")
-    v1, v2 = read_verb(s1.verb), read_verb(s2.verb)
-    return (
-        f"{s1.subject.text} {v1} {s1.obj.text}",
-        f"{s2.subject.text} {v2} {s2.obj.text}",
-        f"For any {s1.subject.bare()} x, "
-        f"we know that x {v1} {s1.obj.text}, that we call y1, "
-        f"and we know that x {v2} {s2.obj.text}, that we call y2; "
-        f"and the fact is, y1 and y2 are the same for any x.",
-    )
+    return predicate(s1.verb, s1.obj), predicate(s2.verb, s2.obj)
+
+
+def fact_lines(subject: NounPhrase, left: str, right: str) -> tuple[str, str, str]:
+    """The readings of a fact's sides, predicates left and right, and of it."""
+    return (f"{subject.text} {left}", f"{subject.text} {right}",
+            equivalence_reading(subject, left, right))
+
+
+def equivalence_reading(subject: NounPhrase, left: str, right: str) -> str:
+    """The reading of a fact whose sides have predicates left and right; the
+    subject keeps its bare noun after "For any" ("For any integer x, ...")."""
+    return (f"For any {subject.bare()} x, "
+            f"we know that x {left}, that we call y1, "
+            f"and we know that x {right}, that we call y2; "
+            f"and the fact is, y1 and y2 are the same for any x.")
 
 
 def correspondence_header(s: Sentence) -> tuple[str, str]:
     """The header of s's table: the subject noun, then the verb reading and
     object noun followed by ", namely"."""
-    return (s.subject.text, f"{read_verb(s.verb)} {s.obj.text}, namely")
+    return (s.subject.text, f"{predicate(s.verb, s.obj)}, namely")
 
 
 def read_correspondence(s: Sentence, x: str, y: str) -> str:

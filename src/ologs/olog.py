@@ -8,6 +8,7 @@ phrases and intersecting author sets along the way.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .category import Path, PathCategory
 from .language import (
@@ -17,7 +18,9 @@ from .language import (
     Sentence,
     UNIT,
     VerbPhrase,
-    read_equivalence,
+    equivalence_reading,
+    join_predicates,
+    predicate,
 )
 from .records import record
 from .report import ValidationReport
@@ -56,6 +59,18 @@ class Olog:
 
     def aspect(self, gen: str) -> AspectLabel:
         return self.structure.aspect_labels[gen]
+
+    @cached_property
+    def aspect_predicates(self) -> dict[str, str]:
+        """Each generator's predicate, "V N", from one reading of its verb."""
+        labels = self.structure.aspect_labels
+        return {g.name: predicate(labels[g.name].verb, self.noun(g.target))
+                for g in self.category.generators}
+
+    def predicate(self, p: Path) -> str:
+        """The predicate of p, a path of this olog."""
+        table = self.aspect_predicates
+        return join_predicates([table[a] for a in p.arrows], self.noun(p.source))
 
 
 def derived_aspect(o: Olog, p: Path) -> AspectLabel:
@@ -155,9 +170,8 @@ def _unendorsed(extra: AuthorSet, label: str, ends: str) -> str:
 
 def read_fact(o: Olog, eq_name: str) -> str:
     eq = o.category.equation(eq_name)
-    return read_equivalence(
-        derived_sentence(o, eq.left), derived_sentence(o, eq.right)
-    )
+    return equivalence_reading(o.noun(eq.left.source), o.predicate(eq.left),
+                               o.predicate(eq.right))
 
 
 def restrict_to_author(o: Olog, author: str) -> Olog:

@@ -48,4 +48,4 @@ def test_read_facts_reads_each_verb_once(fixtures, monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     facts = len(o.category.equations)
     assert len(lines) == len(o.category.generators) + 3 * facts
-    assert len(calls) == len(o.category.generators) + 2 * facts
+    assert len(calls) == len(o.category.generators)
