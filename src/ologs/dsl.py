@@ -27,23 +27,26 @@ the start of "->"; a string may hold \\" and \\\\ escapes; '#' outside a
 string starts a comment.  The tokenizer and the line patterns are
 built from the same regex pieces for these rules, but the line patterns
 read a word as a plain run of those characters, which the regex engine
-scans in one step; a line whose word, author-list or path group holds
-"->" goes to the token parser.
+scans in one step, and an author list as the plain body between its
+braces; a line whose word or path group holds "->", or whose author
+list is not a comma-separated list of words, goes to the token parser.
 
 Every line is matched or tokenized before any is parsed.  A
-well-formed declaration line after the header -- type, aspect or fact
-in an olog; source, target, object, aspect, component, square or table
-in a mapping -- is read by the one compiled pattern its first
-whitespace-separated word names, which builds the declaration from its
-groups; author and path lists are split with str.split.  Every other
-line -- headers, comments, identity paths with more ids such as
-[1 ; a], and every malformed line -- goes to the token parser, which
-produces every ParseError.  Both readings of a mapping line give the
-same (keyword, key, value), and one loop checks duplicates and stores
-them, so a DuplicateId comes before a later line's ParseError exactly
-as when the token parser reads every line.  An author-list text is
-split once (the split is cached), and an olog shares one frozenset per
-distinct author list.
+well-formed olog declaration line after the header -- type, aspect or
+fact -- is read by one compiled pattern with one alternative per kind,
+each starting with its keyword and whitespace, so the kind is the line's
+first whitespace-separated word.  A well-formed mapping line -- source,
+target, object, aspect, component, square or table -- is read by the
+one compiled pattern its first whitespace-separated word names.  Each
+builds its value from the pattern's groups; path lists are split with
+str.split.  Every other line -- headers, comments, identity paths with
+more ids such as [1 ; a], and every malformed line -- goes to the token
+parser, which produces every ParseError.  Both readings of a mapping
+line give the same (keyword, key, value), and one loop checks
+duplicates and stores them, so a DuplicateId comes before a later
+line's ParseError exactly as when the token parser reads every line.
+An author-list body is checked and split once (the result is cached),
+and an olog shares one frozenset per distinct author list.
 """
 
 from __future__ import annotations
@@ -187,6 +190,7 @@ class _LineParser:
 TypeDecl = namedtuple("TypeDecl", "name noun authors")
 AspectDecl = namedtuple("AspectDecl", "name source target verb authors")
 FactDecl = namedtuple("FactDecl", "name left right authors")
+_new = tuple.__new__  # _new(TypeDecl, fields), with no namedtuple __new__ frame
 
 
 @dataclass
@@ -259,69 +263,68 @@ def _declaration(lp: _LineParser) -> TypeDecl | AspectDecl | FactDecl:
     lp.fail("'type', 'aspect', or 'fact'")
 
 
-# One pattern per olog declaration kind, built from the tokenizer's
-# pieces.  A word is a plain _RUN; one that holds "->" is not a word.
+# The olog declaration lines as one pattern, built from the tokenizer's
+# pieces; the name group that is set tells the kind.  A word is a plain
+# _RUN, and one that holds "->" is not a word.  An author list is read
+# as its brace body, which _author_ids checks.
 _RUN = r'[^\s{}\[\],;:=~"#]+'
 _TAIL = rf"\s*(?:{_COMMENT})?"
-_AUTHORS = rf"by\s*\{{\s*((?:{_RUN}(?:\s*,\s*{_RUN})*)?)\s*\}}{_TAIL}"
+_AUTHORS = rf'by\s*\{{([^{{}}"#]*)\}}{_TAIL}'
 # A path that starts [1 ; is left to the token parser, which rejects it.
 _PATH = rf"\[\s*(?!1\s*;)({_RUN}(?:\s*;\s*{_RUN})*)\s*\]"
-_LINE_PATTERNS = {
-    "type": re.compile(
-        rf"\s*type\s+({_RUN})\s*=\s*{_STRING}\s*{_AUTHORS}", re.S),
-    "aspect": re.compile(
-        rf"\s*aspect\s+({_RUN})\s*:\s*({_RUN})\s*->\s*({_RUN})\s*=\s*"
-        rf"{_STRING}\s*{_AUTHORS}", re.S),
-    "fact": re.compile(
-        rf"\s*fact\s+({_RUN})\s*:\s*{_PATH}\s*~\s*{_PATH}\s*{_AUTHORS}",
-        re.S),
-}
+_DECLARATION = re.compile(
+    rf"\s*(?:type\s+({_RUN})\s*=\s*{_STRING}"
+    rf"|aspect\s+({_RUN})\s*:\s*({_RUN})\s*->\s*({_RUN})\s*=\s*{_STRING}"
+    rf"|fact\s+({_RUN})\s*:\s*{_PATH}\s*~\s*{_PATH})\s*{_AUTHORS}", re.S)
+_AUTHOR_LIST = re.compile(rf"\s*(?:{_RUN}(?:\s*,\s*{_RUN})*)?\s*")
 
 
 @functools.lru_cache(maxsize=256)
-def _author_ids(text: str) -> tuple[str, ...]:
-    """The ids of a matched author-list text; a few lists recur often."""
-    return tuple(text.replace(",", " ").split())
+def _author_ids(body: str) -> tuple[str, ...] | None:
+    """The ids of an author list's brace body, or None if it is not a
+    list of words; a few lists recur often."""
+    if "->" in body or _AUTHOR_LIST.fullmatch(body) is None:
+        return None
+    return tuple(body.replace(",", " ").split())
 
 
 def _match_declaration(raw: str) -> TypeDecl | AspectDecl | FactDecl | None:
     """The declaration on a well-formed olog line, or None for any other line.
 
-    The line's first whitespace-separated word picks the one pattern that
-    can read it.  Where it returns a declaration, _declaration gives an
-    equal one.  A path list is split with str.split, which splits at
-    exactly the characters that \\s matches; [1] is None.  Only the groups
-    that can hold "->" are checked for one, and only a string that holds a
-    backslash is unquoted.
+    _DECLARATION reads the line: the name group that is set tells its
+    kind, and _author_ids checks its author list.  Where it returns a
+    declaration, _declaration gives an equal one.  A path list is split
+    with str.split, which splits at exactly the characters that \\s
+    matches; [1] is None.  Only the word and path groups are checked for
+    "->", a fact's only where the line holds one, and only a string that
+    holds a backslash is unquoted.
     """
-    words = raw.split(None, 1)
-    pattern = _LINE_PATTERNS.get(words[0]) if words else None
-    m = pattern.fullmatch(raw) if pattern else None
+    m = _DECLARATION.fullmatch(raw)
     if m is None:
         return None
-    keyword = words[0]
-    if keyword == "type":
-        name, noun, auth = m.groups()
-        if "->" in name or "->" in auth:
+    (type_name, noun, aspect_name, source, target, verb,
+     name, left, right, auth) = m.groups()
+    authors = _author_ids(auth)
+    if authors is None:
+        return None
+    if type_name is not None:
+        if "->" in type_name:
             return None
         if "\\" in noun:
             noun = _unquote(noun)
-        return TypeDecl(name, noun, _author_ids(auth))
-    if keyword == "aspect":
-        name, source, target, verb, auth = m.groups()
-        if "->" in name or "->" in source or "->" in target or "->" in auth:
+        return _new(TypeDecl, (type_name, noun, authors))
+    if aspect_name is not None:
+        if "->" in aspect_name or "->" in source or "->" in target:
             return None
         if "\\" in verb:
             verb = _unquote(verb)
-        return AspectDecl(name, source, target, verb, _author_ids(auth))
-    name, left, right, auth = m.groups()
-    if "->" in raw and ("->" in name or "->" in left or "->" in right
-                        or "->" in auth):
+        return _new(AspectDecl, (aspect_name, source, target, verb, authors))
+    if "->" in raw and ("->" in name or "->" in left or "->" in right):
         return None
     left = tuple(left.replace(";", " ").split())
     right = tuple(right.replace(";", " ").split())
-    return FactDecl(name, None if left == ("1",) else left,
-                    None if right == ("1",) else right, _author_ids(auth))
+    return _new(FactDecl, (name, None if left == ("1",) else left,
+                           None if right == ("1",) else right, authors))
 
 
 def parse_olog(text: str) -> OlogDocument:
@@ -552,21 +555,21 @@ def _match_mapping_entry(raw: str) -> tuple[str, str, object] | None:
     keyword = words[0]
     if keyword in ("source", "target"):
         return keyword, keyword, _unquote(m[1])
-    if keyword in ("object", "aspect", "square"):
+    if keyword in ("object", "aspect"):
         key, value = m.groups()
         if "->" in key or "->" in value:
             return None
         if keyword == "object":
             return keyword, key, value
-        if keyword == "aspect":
-            ids = tuple(value.replace(";", " ").split())
-            return keyword, key, None if ids == ("1",) else ids
-        return keyword, key, _author_ids(value)
-    if keyword == "component":
-        key, verb, auth = m.groups()
-        if "->" in key or "->" in auth:
+        ids = tuple(value.replace(";", " ").split())
+        return keyword, key, None if ids == ("1",) else ids
+    if keyword in ("component", "square"):
+        key, authors = m[1], _author_ids(m[m.lastindex])  # the last group
+        if "->" in key or authors is None:
             return None
-        return keyword, key, (_unquote(verb), _author_ids(auth))
+        if keyword == "square":
+            return keyword, key, authors
+        return keyword, key, (_unquote(m[2]), authors)
     if "->" in m[1]:
         return None
     return keyword, m[1], _unquote(m[2])

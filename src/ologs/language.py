@@ -173,10 +173,8 @@ def predicate(verb: VerbPhrase, obj: NounPhrase) -> str:
     return f"{read_verb(verb)} {obj.text}"
 
 
-def join_predicates(predicates: list[str], obj: NounPhrase) -> str:
-    """A path's predicate from its aspects' predicates in order, "V1 N2,
-    which V2 N3"; a path with none is the identity at obj."""
-    return ", which ".join(predicates) if predicates else predicate(UNIT, obj)
+# Joins the predicates along a path: "V1 N2, which V2 N3".
+WHICH = ", which "
 
 
 def read_sentence(s: Sentence) -> str:

@@ -18,8 +18,8 @@ from .language import (
     Sentence,
     UNIT,
     VerbPhrase,
+    WHICH,
     equivalence_reading,
-    join_predicates,
     predicate,
 )
 from .records import record
@@ -68,9 +68,11 @@ class Olog:
                 for g in self.category.generators}
 
     def predicate(self, p: Path) -> str:
-        """The predicate of p, a path of this olog."""
-        table = self.aspect_predicates
-        return join_predicates([table[a] for a in p.arrows], self.noun(p.source))
+        """The predicate of p, a path of this olog: its aspects' predicates
+        joined in order, or "is of course" and its object for an identity."""
+        if not p.arrows:
+            return predicate(UNIT, self.noun(p.source))
+        return WHICH.join(map(self.aspect_predicates.__getitem__, p.arrows))
 
 
 def derived_aspect(o: Olog, p: Path) -> AspectLabel:
