@@ -31,22 +31,20 @@ scans in one step, and an author list as the plain body between its
 braces; a line whose word or path group holds "->", or whose author
 list is not a comma-separated list of words, goes to the token parser.
 
-Every line is matched or tokenized before any is parsed.  A
-well-formed olog declaration line after the header -- type, aspect or
-fact -- is read by one compiled pattern with one alternative per kind,
-each starting with its keyword and whitespace, so the kind is the line's
-first whitespace-separated word.  A well-formed mapping line -- source,
-target, object, aspect, component, square or table -- is read by the
-one compiled pattern its first whitespace-separated word names.  Each
-builds its value from the pattern's groups; path lists are split with
-str.split.  Every other line -- headers, comments, identity paths with
-more ids such as [1 ; a], and every malformed line -- goes to the token
-parser, which produces every ParseError.  Both readings of a mapping
-line give the same (keyword, key, value), and one loop checks
-duplicates and stores them, so a DuplicateId comes before a later
-line's ParseError exactly as when the token parser reads every line.
-An author-list body is checked and split once (the result is cached),
-and an olog shares one frozenset per distinct author list.
+Every line is matched or tokenized before any is parsed.  One rule
+reads a well-formed line after the header of either document: one
+compiled pattern per document, with one alternative per line kind, each
+starting with its keyword and whitespace, so the kind is the line's
+first whitespace-separated word.  The value is built from the pattern's
+groups; path lists are split with str.split.  Every other line --
+headers, comments, identity paths with more ids such as [1 ; a], and
+every malformed line -- goes to the token parser, which produces every
+ParseError.  Both readings of a mapping line give the same (keyword,
+key, value), and one loop checks duplicates and stores them, so a
+DuplicateId comes before a later line's ParseError exactly as when the
+token parser reads every line.  An author-list body is checked and split
+once (the result is cached), and an olog shares one frozenset per
+distinct author list.
 """
 
 from __future__ import annotations
@@ -288,16 +286,21 @@ def _author_ids(body: str) -> tuple[str, ...] | None:
     return tuple(body.replace(",", " ").split())
 
 
+def _path_ids(group: str) -> tuple[str, ...] | None:
+    """The ids of a line pattern's path group, split with str.split,
+    which splits at exactly the characters that \\s matches; [1] is None."""
+    ids = tuple(group.replace(";", " ").split())
+    return None if ids == ("1",) else ids
+
+
 def _match_declaration(raw: str) -> TypeDecl | AspectDecl | FactDecl | None:
     """The declaration on a well-formed olog line, or None for any other line.
 
     _DECLARATION reads the line: the name group that is set tells its
     kind, and _author_ids checks its author list.  Where it returns a
-    declaration, _declaration gives an equal one.  A path list is split
-    with str.split, which splits at exactly the characters that \\s
-    matches; [1] is None.  Only the word and path groups are checked for
-    "->", a fact's only where the line holds one, and only a string that
-    holds a backslash is unquoted.
+    declaration, _declaration gives an equal one.  Only the word and path
+    groups are checked for "->", a fact's only where the line holds one,
+    and only a string that holds a backslash is unquoted.
     """
     m = _DECLARATION.fullmatch(raw)
     if m is None:
@@ -321,10 +324,7 @@ def _match_declaration(raw: str) -> TypeDecl | AspectDecl | FactDecl | None:
         return _new(AspectDecl, (aspect_name, source, target, verb, authors))
     if "->" in raw and ("->" in name or "->" in left or "->" in right):
         return None
-    left = tuple(left.replace(";", " ").split())
-    right = tuple(right.replace(";", " ").split())
-    return _new(FactDecl, (name, None if left == ("1",) else left,
-                           None if right == ("1",) else right, authors))
+    return _new(FactDecl, (name, _path_ids(left), _path_ids(right), authors))
 
 
 def parse_olog(text: str) -> OlogDocument:
@@ -526,53 +526,45 @@ def _mapping_entry(lp: _LineParser) -> tuple[str, str, object]:
             "'square', or 'table'")
 
 
-# One pattern per mapping line kind.  A square needs whitespace before
-# "by", or "square topby {A}" would read as the aspect "top".
-_MAPPING_PATTERNS = {
-    "source": re.compile(rf"\s*source\s*{_STRING}{_TAIL}", re.S),
-    "target": re.compile(rf"\s*target\s*{_STRING}{_TAIL}", re.S),
-    "object": re.compile(
-        rf"\s*object\s+({_RUN})\s*->\s*({_RUN}){_TAIL}", re.S),
-    "aspect": re.compile(rf"\s*aspect\s+({_RUN})\s*->\s*{_PATH}{_TAIL}",
-                         re.S),
-    "component": re.compile(
-        rf"\s*component\s+({_RUN})\s*=\s*{_STRING}\s*{_AUTHORS}", re.S),
-    "square": re.compile(rf"\s*square\s+({_RUN})\s+{_AUTHORS}", re.S),
-    "table": re.compile(rf"\s*table\s+({_RUN})\s*=\s*{_STRING}{_TAIL}",
-                        re.S),
-}
+# The mapping lines as one pattern, built as _DECLARATION is.  A square
+# needs whitespace before "by", or "square topby {A}" would read as the
+# aspect "top".
+_MAPPING_LINE = re.compile(
+    rf"\s*(?:(?:(source|target)\s+{_STRING}"
+    rf"|object\s+({_RUN})\s*->\s*({_RUN})"
+    rf"|aspect\s+({_RUN})\s*->\s*{_PATH}"
+    rf"|table\s+({_RUN})\s*=\s*{_STRING}){_TAIL}"
+    rf"|(?:component\s+({_RUN})\s*=\s*{_STRING}\s*"
+    rf"|square\s+({_RUN})\s+){_AUTHORS})", re.S)
 
 
 def _match_mapping_entry(raw: str) -> tuple[str, str, object] | None:
     """The (keyword, key, value) on a well-formed mapping line, or None for
-    any other line.  Where it returns an entry, _mapping_entry gives an
+    any other line.  As in _match_declaration, the key group that is set
+    tells the kind; where it returns an entry, _mapping_entry gives an
     equal one."""
-    words = raw.split(None, 1)
-    pattern = _MAPPING_PATTERNS.get(words[0]) if words else None
-    m = pattern.fullmatch(raw) if pattern else None
+    m = _MAPPING_LINE.fullmatch(raw)
     if m is None:
         return None
-    keyword = words[0]
-    if keyword in ("source", "target"):
-        return keyword, keyword, _unquote(m[1])
-    if keyword in ("object", "aspect"):
-        key, value = m.groups()
-        if "->" in key or "->" in value:
-            return None
-        if keyword == "object":
-            return keyword, key, value
-        ids = tuple(value.replace(";", " ").split())
-        return keyword, key, None if ids == ("1",) else ids
-    if keyword in ("component", "square"):
-        key, authors = m[1], _author_ids(m[m.lastindex])  # the last group
-        if "->" in key or authors is None:
-            return None
-        if keyword == "square":
-            return keyword, key, authors
-        return keyword, key, (_unquote(m[2]), authors)
-    if "->" in m[1]:
+    (endpoint, ref, obj, image, aspect, path, table, csv_path,
+     component, verb, square, auth) = m.groups()
+    if endpoint is not None:
+        return endpoint, endpoint, _unquote(ref)
+    key = obj or aspect or table or component or square
+    if "->" in key:
         return None
-    return keyword, m[1], _unquote(m[2])
+    if obj is not None:
+        return None if "->" in image else ("object", key, image)
+    if aspect is not None:
+        return None if "->" in path else ("aspect", key, _path_ids(path))
+    if table is not None:
+        return "table", key, _unquote(csv_path)
+    authors = _author_ids(auth)
+    if authors is None:
+        return None
+    if square is not None:
+        return "square", key, authors
+    return "component", key, (_unquote(verb), authors)
 
 
 _DUPLICATE = {

@@ -74,6 +74,15 @@ def _compose(inst: Instance, p: Path, values) -> list[str]:
     return values
 
 
+def _mismatches(xs, left: list, right: list) -> list[tuple]:
+    """(x, y1, y2) for each token x of xs where the value lists `left` and
+    `right` differ, in xs order.  The lists are compared whole first, so
+    lists that agree are not walked."""
+    if left == right:
+        return []
+    return [(x, y1, y2) for x, y1, y2 in zip(xs, left, right) if y1 != y2]
+
+
 def path_table(inst: Instance, p: Path) -> dict[str, str]:
     """The composite token function of p, on every token at p.source."""
     inst.olog.category.check_path(p)
@@ -126,17 +135,11 @@ def validate_instance(inst: Instance) -> ValidationReport:
         return report
     for eq in inst.olog.category.equations:
         tokens = inst.token_set(eq.left.source)
-        left = _compose(inst, eq.left, tokens)
-        right = _compose(inst, eq.right, tokens)
-        if left == right:
-            continue
-        for x, y1, y2 in zip(tokens, left, right):
-            if y1 != y2:
-                report.add(
-                    "fact-violation",
-                    f"equation {eq.name!r} fails on token {x!r}: "
-                    f"{y1!r} != {y2!r}",
-                )
+        for x, y1, y2 in _mismatches(tokens, _compose(inst, eq.left, tokens),
+                                     _compose(inst, eq.right, tokens)):
+            report.add("fact-violation",
+                       f"equation {eq.name!r} fails on token {x!r}: "
+                       f"{y1!r} != {y2!r}")
     return report
 
 

@@ -30,7 +30,8 @@ from .olog import (
     derived_aspect,
     derived_authors,
 )
-from .instance import Instance, InstanceTable, _compose, path_table
+from .instance import (Instance, InstanceTable, _compose, _mismatches,
+                       path_table)
 from .report import ValidationReport
 
 DEFAULT_SEARCH_LIMIT = 10 ** 6
@@ -225,14 +226,9 @@ def check_naturality(p: InstanceMorphism) -> ValidationReport:
         left = list(map(image.__getitem__,
                         map(comps.get(g.source, {}).__getitem__, xs)))
         right = list(map(comps.get(g.target, {}).__getitem__, gxs))
-        if left == right:
-            continue
-        for x, y1, y2 in zip(xs, left, right):
-            if y1 != y2:
-                report.add(
-                    "naturality-violation",
-                    f"square at generator {g.name!r} fails on token {x!r}",
-                )
+        for x, _, _ in _mismatches(xs, left, right):
+            report.add("naturality-violation",
+                       f"square at generator {g.name!r} fails on token {x!r}")
     return report
 
 

@@ -128,7 +128,8 @@ def test_the_coverage_inputs_reach_every_word_arrow_check():
     for inputs, plain, reference, with_authors in (
             (OLOG_INPUTS, dict.fromkeys(OLOG_REFERENCE, dsl._DECLARATION),
              OLOG_REFERENCE, set(OLOG_REFERENCE)),
-            (MAPPING_INPUTS, dsl._MAPPING_PATTERNS, MAPPING_REFERENCE,
+            (MAPPING_INPUTS, dict.fromkeys(MAPPING_REFERENCE, dsl._MAPPING_LINE),
+             MAPPING_REFERENCE,
              {"component", "square"})):
         refused = set()
         for line in inputs:

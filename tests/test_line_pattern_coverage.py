@@ -151,7 +151,8 @@ def test_the_inputs_reach_every_arrow_check():
     for inputs, plain, reference in (
             (OLOG_INPUTS, dict.fromkeys(OLOG_REFERENCE, dsl._DECLARATION),
              OLOG_REFERENCE),
-            (MAPPING_INPUTS, dsl._MAPPING_PATTERNS, MAPPING_REFERENCE)):
+            (MAPPING_INPUTS, dict.fromkeys(MAPPING_REFERENCE, dsl._MAPPING_LINE),
+             MAPPING_REFERENCE)):
         refused = set()
         for line in inputs:
             keyword = line.split(None, 1)[0] if line.split() else None

@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 from ologs import cli
 from ologs.category import Path, identity_functor
-from ologs.instance import Instance, validate_instance, write_bundle
+from ologs.instance import Instance, _mismatches, validate_instance, write_bundle
 from ologs.language import UNIT
 from ologs.mapping import (
     InstanceMorphism,
@@ -272,3 +272,19 @@ def test_an_object_without_tokens_needs_no_component(fixtures):
     report = check_naturality(InstanceMorphism(i, j, m, comps))
     assert report.ok
     assert reference_naturality(m, i, j, comps) == []
+
+
+class Unwalkable:
+    """Tokens that cannot be iterated: a walk over them raises."""
+
+    def __iter__(self):
+        raise AssertionError("equal value lists were walked")
+
+
+def test_mismatches_compares_whole_then_walks_only_unequal_lists():
+    assert _mismatches(Unwalkable(), [], []) == []
+    assert _mismatches(Unwalkable(), ["a", "b", "a"], ["a", "b", "a"]) == []
+    xs = ("t0", "t1", "t2", "t3", "t4")
+    assert _mismatches(xs, ["a", "b", "c", "d", "e"],
+                       ["x", "b", "c", "y", "e"]) == [
+        ("t0", "a", "x"), ("t3", "d", "y")]
