@@ -8,7 +8,7 @@ Bendix, "Simple word problems in universal algebras", 1970) finishes
 within a budget scaled to the presentation: two parallel paths are
 equal if and only if their normal forms are.  Completion runs on the
 first such query and is cached.  Otherwise `decide_equal` falls back to
-`path_equal`, a breadth-first search from one path that applies each
+`path_equal`, a breadth-first search from both paths that applies each
 declared equation in either direction to a subpath, the bound counting
 rewrite steps; that search is sound but incomplete, so its negative
 answer only means "not proved within the bound".
@@ -233,9 +233,10 @@ class PathCategory:
         return system.normal_form(p.arrows) == system.normal_form(q.arrows)
 
     def path_equal(self, p: Path, q: Path, bound: int = DEFAULT_BOUND) -> bool:
-        """Decide p = q by a breadth-first search from p of at most
-        `bound` rewrite steps, each applying one equation in either
-        direction to a subpath.
+        """Decide p = q by a breadth-first search from both ends of at most
+        `bound` rewrite steps in all, each applying one equation in either
+        direction to a subpath.  Each round grows the smaller frontier,
+        ties going to p's side, by one step.
 
         True means provably equal; False only means not proved within
         the bound.
@@ -244,22 +245,25 @@ class PathCategory:
         if p == q:
             return True
         # Every rewrite keeps the source, so the search carries arrow runs.
-        source, goal = p.source, q.arrows
-        seen = {p.arrows}
-        frontier = [p.arrows]
+        # Rewrites run both ways, so the two sides meet within `bound`
+        # rounds exactly when one side reaches the other within `bound`.
+        source = p.source
+        sides = [({p.arrows}, [p.arrows]), ({q.arrows}, [q.arrows])]
         for _ in range(bound):
+            near = len(sides[1][1]) < len(sides[0][1])
+            (seen, frontier), (other, _) = sides[near], sides[not near]
             nxt = []
             for r in frontier:
                 for s in self._rewrites(source, r):
-                    if s == goal:
+                    if s in other:
                         return True
                     if s not in seen:
                         seen.add(s)
                         nxt.append(s)
             if not nxt:
-                return False
-            frontier = nxt
-        return False
+                return False  # its whole component seen: exactly not equal
+            sides[near] = seen, nxt
+        return False  # the bound is spent: not proved either way
 
 
 class RewriteSystem:

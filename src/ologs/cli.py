@@ -15,7 +15,6 @@ from pathlib import Path as FsPath
 
 from .category import DEFAULT_BOUND
 from .dsl import (
-    MappingDocument,
     document_from_olog,
     load_olog,
     morphism_from_document,
@@ -24,21 +23,14 @@ from .dsl import (
     serialize_olog,
 )
 from .errors import OlogError, ParseError
-from .instance import (
-    _load_plain,
-    check_totality,
-    load_bundle,
-    read_table_file,
-    validate_instance,
-    write_bundle,
-)
+from .instance import (check_totality, load_bundle, validate_instance,
+                       write_bundle)
 from .language import fact_lines
 from .mapping import (
     DEFAULT_SEARCH_LIMIT,
     InstanceMorphism,
     check_naturality,
-    component_table_header,
-    correspondence_pairs,
+    load_correspondences,
     pullback_instance,
     pullback_olog,
     search_conforming,
@@ -73,29 +65,6 @@ def _checked_mapping(path: str, bound: int = DEFAULT_BOUND):
     if report.ok:
         report = validate_linguistic_functor(m, bound)
     return doc, base, m, report
-
-
-def _load_correspondences(doc: MappingDocument, base: FsPath, m,
-                          pairs: bool = True) -> dict:
-    """Each component's declared pairs, read by `_load_plain` against the
-    one expected header, or else, with every error, by `read_table_file`
-    as a frozenset.  Without `pairs`, a plain table with no repeated key
-    is read straight into its component dict instead."""
-    tables = {}
-    for obj, rel in doc.tables.items():
-        expected = component_table_header(m, obj)
-        plain = _load_plain(base / rel, {expected: [obj]}, pairs)
-        if plain is not None:
-            tables[obj] = plain[2]
-            continue
-        table = read_table_file(base / rel)
-        if table.header != expected:
-            raise OlogError(
-                f"{rel}: header {table.header!r} does not match the "
-                f"component convention {expected!r}"
-            )
-        tables[obj] = correspondence_pairs(table)
-    return tables
 
 
 def cmd_validate(args) -> int:
@@ -158,7 +127,7 @@ def cmd_check_mapping(args) -> int:
         report.extend(data_report)
         if not report.ok:
             return _emit(report, args.json)
-        components = _load_correspondences(doc, base, m, pairs=False)
+        components = load_correspondences(m, doc.tables, base)
         for obj, pairs in components.items():
             components[obj] = dict(pairs)
             if len(components[obj]) != len(pairs):  # a key repeats
@@ -205,7 +174,7 @@ def cmd_search_conforming(args) -> int:
     i, j, report = _load_data(args, m)
     if not report.ok:
         return _emit(report, args.json)
-    correspondences = _load_correspondences(doc, base, m)
+    correspondences = load_correspondences(m, doc.tables, base)
     count, survivors = search_conforming(m, i, j, correspondences, args.limit)
     listings = [
         [f"{obj}: {x} -> {y}"

@@ -20,7 +20,7 @@ from .category import (
     identity_functor,
     validate_functor,
 )
-from .errors import InvalidFunctor, SearchSpaceTooLarge
+from .errors import InvalidFunctor, OlogError, SearchSpaceTooLarge
 from .language import AuthorSet, Sentence, UNIT, correspondence_header
 from .olog import (
     AspectLabel,
@@ -30,8 +30,8 @@ from .olog import (
     derived_aspect,
     derived_authors,
 )
-from .instance import (Instance, InstanceTable, _compose, _mismatches,
-                       path_table)
+from .instance import (Instance, InstanceTable, _compose, _load_plain,
+                       _mismatches, path_table, read_table_file)
 from .report import ValidationReport
 
 DEFAULT_SEARCH_LIMIT = 10 ** 6
@@ -169,6 +169,28 @@ def correspondence_pairs(table: InstanceTable) -> frozenset[tuple[str, str]]:
 def component_table_header(m: OlogMorphism, obj: str) -> tuple[str, str]:
     """Header convention for a component's correspondence table."""
     return correspondence_header(m.component_sentence(obj))
+
+
+def load_correspondences(m: OlogMorphism, tables: dict[str, str],
+                         base) -> dict[str, frozenset]:
+    """Each object's declared pairs, from its table at `base / tables[obj]`:
+    read by `_load_plain` against the component's header, or else, with
+    every error, by `read_table_file` and `correspondence_pairs`."""
+    out = {}
+    for obj, rel in tables.items():
+        expected = component_table_header(m, obj)
+        plain = _load_plain(base / rel, {expected: [obj]}, pairs=True)
+        if plain is not None:
+            out[obj] = plain[2]
+            continue
+        table = read_table_file(base / rel)
+        if table.header != expected:
+            raise OlogError(
+                f"{rel}: header {table.header!r} does not match the "
+                f"component convention {expected!r}"
+            )
+        out[obj] = correspondence_pairs(table)
+    return out
 
 
 @dataclass

@@ -6,10 +6,13 @@ alone.  Over random and chain bundles, with lexical damage to up to two
 tables, `load_bundle` must return an Instance equal to the reference
 loader's or raise the same exception class with the same message, and
 wherever `_load_plain` answers, its answer must be what
-`_bind(read_table_file(path), index)` returns.
+`_bind(read_table_file(path), index)` returns.  Seeded correspondence
+tables, damaged the same way, must load by `load_correspondences` as
+`correspondence_pairs(read_table_file(path))` reads them, or fail alike.
 """
 
 import csv
+import io
 import random
 import string
 import tempfile
@@ -19,6 +22,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ologs.category import Equation, Generator, Path, PathCategory
+from ologs.dsl import (load_olog, morphism_from_document, parse_mapping,
+                       read_text)
+from ologs.errors import OlogError
 from ologs.instance import (
     Instance,
     _bind,
@@ -29,6 +35,11 @@ from ologs.instance import (
     write_bundle,
 )
 from ologs.language import AtomicVerb, NounPhrase
+from ologs.mapping import (
+    component_table_header,
+    correspondence_pairs,
+    load_correspondences,
+)
 from ologs.olog import AspectLabel, LinguisticStructure, Olog, TypeLabel
 from randgen import random_instance, random_olog
 from test_instance_loading import outcome, reference_load_bundle
@@ -263,3 +274,76 @@ def test_plain_reader_answers_only_for_plain_tables(tmp_path, text, answers):
     assert (plain is not None) == answers
     if answers:
         assert plain == _bind(read_table_file(path), index)
+
+
+# --- correspondence tables, read as pairs against one component header ---
+
+def merge_is_morphism():
+    fixtures = FsPath(__file__).parent / "fixtures"
+    doc = parse_mapping(read_text(fixtures / "merge_is.map"))
+    return morphism_from_document(doc, load_olog(fixtures / doc.source_ref),
+                                  load_olog(fixtures / doc.target_ref))
+
+
+def reference_correspondences(m, obj, path, rel):
+    """A correspondence table read by `csv` alone."""
+    table = read_table_file(path)
+    expected = component_table_header(m, obj)
+    if table.header != expected:
+        raise OlogError(
+            f"{rel}: header {table.header!r} does not match the "
+            f"component convention {expected!r}")
+    return correspondence_pairs(table)
+
+
+def correspondence_text(rng, expected):
+    """Two-column rows from small token pools, so keys and whole rows
+    repeat; some tokens need quoting, and some headers do not match."""
+    keys, values = ([_word(rng, rng.randint(1, 3))
+                     for _ in range(rng.randint(1, 8))] for _ in range(2))
+    if rng.random() < 0.2:
+        keys = [x + rng.choice((",", '"', "\n", "\r", " ")) + x
+                if rng.random() < 0.3 else x for x in keys]
+    rows = list(dict.fromkeys((rng.choice(keys), rng.choice(values))
+                              for _ in range(rng.randint(0, 10))))
+    if rows and rng.random() < 0.2:
+        rows.insert(rng.randint(0, len(rows)), rng.choice(rows))
+    header = rng.choice((expected,) * 6 + (
+        expected[::-1], expected[:1], (*expected, "x"),
+        (expected[0], expected[1].upper())))
+    out = io.StringIO()
+    ends = ("\n", "\n", "\n", "\r\n")
+    writer = csv.writer(out, lineterminator=rng.choice(ends))
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def test_correspondence_tables_load_as_the_csv_reader_has_them(tmp_path):
+    m = merge_is_morphism()
+    obj, rel = "h", "t.csv"
+    path = tmp_path / rel
+    index = {component_table_header(m, obj): [obj]}
+    plain = repeated_keys = errors = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        text = correspondence_text(rng, component_table_header(m, obj))
+        for hurt in rng.sample(DAMAGE, rng.choice((0, 0, 1, 2))):
+            text = hurt(text, rng)
+        path.write_text(text, encoding="utf-8", newline="")
+        try:
+            want = reference_correspondences(m, obj, path, rel)
+        except Exception as exc:  # the class and message are compared
+            want = type(exc), str(exc)
+            errors += 1
+        try:
+            got = load_correspondences(m, {obj: rel}, tmp_path)[obj]
+        except Exception as exc:
+            got = type(exc), str(exc)
+        assert got == want, (seed, text)
+        answer = _load_plain(path, index, pairs=True)
+        if answer is not None:
+            plain += 1
+            keys = [x for x, _ in answer[2]]
+            repeated_keys += len(set(keys)) != len(keys)
+    assert plain > 50 and repeated_keys > 10 and errors > 100
