@@ -203,9 +203,11 @@ def _nonblank_lines(text: str, match=None) -> list:
     """Every nonblank line, matched or tokenized before any is parsed, so
     an unterminated string is reported before a grammar error on an
     earlier line.  A line after the header that `match` reads becomes its
-    value; every other line becomes a _LineParser."""
+    value; every other line becomes a _LineParser.  Lines end only at
+    "\\n", "\\r\\n" or "\\r", as `read_text` reads them."""
     lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.removesuffix("\n").split("\n"), 1):
         value = match(raw) if match and lines else None
         if value is not None:
             lines.append(value)

@@ -197,13 +197,11 @@ def _bind(table: InstanceTable, index: dict) -> tuple[str, str, object]:
         raise AmbiguousHeader(f"header {shown!r} matches {word}s {matches}")
     if word == "type":
         return "tokens", matches[0], tuple(row[0] for row in table.rows)
-    mapping = dict(table.rows)
-    if len(mapping) != len(table.rows):
-        seen = set()
-        for row in table.rows:
-            if row[0] in seen:
-                raise DuplicateKey(f"two rows for token {row[0]!r}")
-            seen.add(row[0])
+    mapping = {}
+    for key, value in table.rows:
+        if key in mapping:
+            raise DuplicateKey(f"two rows for token {key!r}")
+        mapping[key] = value
     return "function", matches[0], mapping
 
 
@@ -289,7 +287,8 @@ def _load_plain(path, index: dict, pairs: bool = False, token_sets=None):
     fallback.  The rest, the body, is taken only when it is plain: no
     quote, carriage return or NUL
     (so `csv.reader` would split it on newlines and commas alone), no
-    blank line, no field over `csv.field_size_limit()`, one comma per
+    blank line, no field over `csv.field_size_limit()` (measured only in
+    a body longer than the limit, as such a field needs), one comma per
     line of a two-column table, and no repeated token or key.  Every
     other table, and every error, is left to `read_table_file` and
     `_bind`.  The comma per line is checked on the separators alone:
@@ -328,15 +327,9 @@ def _load_plain(path, index: dict, pairs: bool = False, token_sets=None):
         content = (frozenset if pairs else dict)(zip(keys, fields[1::2]))
         if len(content) != len(keys):
             return None
-    # A field over the limit holds a whole aligned block of `half`
-    # characters, so the fields are measured only when some block has no
-    # separator.
+    # A field over the limit needs a body longer than the limit.
     limit = csv.field_size_limit()
-    half = limit // 2 + 1
-    blocks = (lines[i:i + half]
-              for i in range(0, len(lines) - half + 1, half))
-    if (any("\n" not in block and "," not in block for block in blocks)
-            and max(map(len, fields)) > limit):
+    if len(lines) > limit and max(map(len, fields)) > limit:
         return None
     if token_sets is not None and len(header) == 1:
         token_sets[matches[0]] = seen
@@ -349,9 +342,9 @@ def load_bundle(directory, o: Olog) -> Instance:
     Each file binds by its filename; the header is cross-checked against
     the binding the header text itself would produce.  Headers are looked
     up in one index of every type's and aspect's header, built once per
-    call, and an aspect table becomes its token function in one `dict`
-    call, so a bundle costs time linear in its rows, not rows times the
-    olog's size.  A plain table (see `_load_plain`) is split whole, by
+    call, and an aspect table becomes its token function in one pass over
+    its rows, so a bundle costs time linear in its rows, not rows times
+    the olog's size.  A plain table (see `_load_plain`) is split whole, by
     `str` methods, instead of row by row by `csv.reader`; any other table
     goes through `read_table_file` and `_bind`, which raise every error,
     so errors and their messages are those of `read_table_file` and
