@@ -37,7 +37,7 @@ from .mapping import (
     validate_linguistic_functor,
 )
 from .olog import validate_olog
-from .report import ValidationReport
+from .report import Finding, ValidationReport, json_report
 
 
 def _emit(report: ValidationReport, as_json: bool) -> int:
@@ -85,9 +85,8 @@ def cmd_read(args) -> int:
             lines += (("sentence", left), ("sentence", right), ("fact", fact))
     if args.json:
         # Readings are not findings: the report is ok.
-        findings = [{"code": code, "message": message}
-                    for code, message in lines]
-        print(json.dumps({"ok": True, "findings": findings}))
+        findings = [Finding(code, message) for code, message in lines]
+        print(json.dumps(json_report(True, findings)))
     else:
         sys.stdout.write("".join(f"{message}\n" for _, message in lines))
     return 0
@@ -183,11 +182,11 @@ def cmd_search_conforming(args) -> int:
         for morphism in survivors
     ]
     if args.json:
-        findings = [{"code": "candidates", "message": str(count)},
-                    {"code": "conforming", "message": str(len(survivors))}]
-        findings += [{"code": "morphism", "message": "; ".join(parts)}
+        findings = [Finding("candidates", str(count)),
+                    Finding("conforming", str(len(survivors)))]
+        findings += [Finding("morphism", "; ".join(parts))
                      for parts in listings]
-        print(json.dumps({"ok": True, "findings": findings}))
+        print(json.dumps(json_report(True, findings)))
     else:
         print(f"candidates: {count}")
         for index, parts in enumerate(listings, start=1):

@@ -390,6 +390,8 @@ def olog_from_document(doc: OlogDocument) -> Olog:
                 seen.add(d.name)
     generators = []
     for a in doc.aspects:
+        if a.name in declared_types:  # their tables would share a file
+            raise DuplicateId(f"aspect {a.name!r} has the id of a type")
         for endpoint in (a.source, a.target):
             if endpoint not in declared_types:
                 raise DanglingReference(
@@ -657,13 +659,15 @@ def morphism_from_document(doc: MappingDocument, source: Olog, target: Olog):
         else:
             first, *_ = [aspect("target", target, gen) for gen in ids]
             generator_map[name] = Path(first.source, tuple(ids))
+    for name in doc.squares:
+        aspect("source", source, name)
     functor = CatFunctor(source.category, target.category,
                          dict(doc.object_map), generator_map)
     components = {}
     try:
         for obj, (verb, auth) in doc.components.items():
             components[obj] = AspectLabel(
-                UNIT if verb == "is of course" else AtomicVerb(verb),
+                UNIT if verb == read_verb(UNIT) else AtomicVerb(verb),
                 frozenset(auth))
     except BadVerbPhrase as exc:
         raise BadVerbPhrase(f"component {obj!r}: {exc}") from None

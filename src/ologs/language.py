@@ -62,9 +62,9 @@ class ConcatVerb:
 
     A composite along a path of n arrows nests n - 1 deep, so the
     dataclass methods, which recurse once per level, are replaced by
-    iterative ones.  Equality, hashing, pickling and copying all use the
-    flat postfix tuple of _postfix; repr walks the tree with its own
-    stack and gives the dataclass text.
+    iterative ones.  Equality, hashing, pickling, copying and read_verb
+    all use the flat postfix tuple of _postfix; repr, which needs prefix
+    order, walks the tree with its own stack and gives the dataclass text.
     """
 
     left: "VerbPhrase"
@@ -101,7 +101,8 @@ def _postfix(v: ConcatVerb) -> tuple:
     phrase and right subtree, then its class.
 
     The class markers keep nesting and subclasses apart, so two verbs
-    are equal exactly when their postfix tuples are."""
+    are equal exactly when their postfix tuples are; without them the
+    leaves come in reading order."""
     items = []
     stack: list = [v]
     while stack:
@@ -134,29 +135,29 @@ VerbPhrase = UnitVerb | AtomicVerb | ConcatVerb
 
 UNIT = UnitVerb()
 
+# Joins the predicates along a path: "V1 N2, which V2 N3".
+WHICH = ", which "
+
 
 def read_verb(v: VerbPhrase) -> str:
     """The reading of v; a composite reads "V1 N2, which V2".
 
-    Composites are walked with an explicit stack, not by recursion, so a
-    path of any length reads.  An atomic verb returns its text before
-    the walk.
+    A composite reads from its _postfix leaves, which come in reading
+    order: a verb reads as its text or "is of course", a noun phrase as
+    " N2, which ", and a class marker as nothing.  An atomic verb
+    returns its text before the walk.
     """
     if v.__class__ is AtomicVerb:
         return v.text
     parts = []
-    stack: list = [v]  # verbs still to read, and the text between them
-    while stack:
-        item = stack.pop()
-        if item.__class__ is str:
-            parts.append(item)  # the text between two verbs
-        elif isinstance(item, AtomicVerb):
+    for item in _postfix(v):
+        if isinstance(item, AtomicVerb):
             parts.append(item.text)
-        elif isinstance(item, ConcatVerb):
-            stack += (item.right, f" {item.via.text}, which ", item.left)
+        elif isinstance(item, NounPhrase):
+            parts.append(f" {item.text}{WHICH}")
         elif isinstance(item, UnitVerb):
             parts.append("is of course")
-        else:
+        elif not isinstance(item, type):
             parts.append(item)  # not a verb phrase: join refuses it
     return "".join(parts)
 
@@ -171,10 +172,6 @@ class Sentence:
 def predicate(verb: VerbPhrase, obj: NounPhrase) -> str:
     """The reading of a verb and its object: "V N"."""
     return f"{read_verb(verb)} {obj.text}"
-
-
-# Joins the predicates along a path: "V1 N2, which V2 N3".
-WHICH = ", which "
 
 
 def read_sentence(s: Sentence) -> str:

@@ -26,7 +26,7 @@ from .olog import (
     AspectLabel,
     LinguisticStructure,
     Olog,
-    _unendorsed,
+    _endorsed,
     derived_aspect,
     derived_authors,
 )
@@ -117,11 +117,9 @@ def validate_linguistic_functor(
         if comp is None:
             report.add("missing-component", f"object {c!r} has no component aspect")
             continue
-        allowed = src.type_authors(c) & dst.type_authors(f.apply_object(c))
-        extra = comp.authors - allowed
-        if extra:
-            report.add("component-author-violation", _unendorsed(
-                extra, f"component at {c!r}", "types"))
+        _endorsed(report, "component-author-violation", "component at", c,
+                  comp.authors, "types", src.type_authors(c),
+                  dst.type_authors(f.apply_object(c)))
     if not report.ok:
         return report
     for g in src.category.generators:
@@ -133,11 +131,9 @@ def validate_linguistic_functor(
         across_then_down = (
             m.components[g.source].authors & derived_authors(dst, image)
         )
-        extra = fact - (down_then_across & across_then_down)
-        if extra:
-            report.add("square-author-violation", _unendorsed(
-                extra, f"the square at {g.name!r}", "composite aspects"))
-        elif not fact:
+        if _endorsed(report, "square-author-violation", "the square at",
+                     g.name, fact, "composite aspects", down_then_across,
+                     across_then_down) and not fact:
             # Legal (facts may go unendorsed) but worth surfacing.
             report.warn(
                 "empty-square-authors",

@@ -142,12 +142,10 @@ def validate_olog(o: Olog) -> ValidationReport:
                        f"generator {g.name!r} has no verb phrase")
             continue
         if g.source in structure.type_labels and g.target in structure.type_labels:
-            allowed = (structure.type_labels[g.source].authors
-                       & structure.type_labels[g.target].authors)
-            extra = label.authors - allowed
-            if extra:
-                report.add("aspect-author-violation", _unendorsed(
-                    extra, f"aspect {g.name!r}", "endpoint types"))
+            _endorsed(report, "aspect-author-violation", "aspect", g.name,
+                      label.authors, "endpoint types",
+                      structure.type_labels[g.source].authors,
+                      structure.type_labels[g.target].authors)
     if not report.ok:
         return report
     for eq in o.category.equations:
@@ -157,17 +155,22 @@ def validate_olog(o: Olog) -> ValidationReport:
                        f"equation {eq.name!r} has no author set")
             continue
         # PathCategory checked both sides when it was built.
-        allowed = _authors_along(o, eq.left) & _authors_along(o, eq.right)
-        extra = fact - allowed
-        if extra:
-            report.add("fact-author-violation", _unendorsed(
-                extra, f"fact {eq.name!r}", "derived aspects"))
+        _endorsed(report, "fact-author-violation", "fact", eq.name, fact,
+                  "derived aspects", _authors_along(o, eq.left),
+                  _authors_along(o, eq.right))
     return report
 
 
-def _unendorsed(extra: AuthorSet, label: str, ends: str) -> str:
-    """The finding for a label's authors who do not endorse both its ends."""
-    return f"authors {sorted(extra)} of {label} do not endorse both {ends}"
+def _endorsed(report: ValidationReport, code: str, label: str, key: str,
+              authors: AuthorSet, ends: str, one: AuthorSet,
+              other: AuthorSet) -> bool:
+    """Whether all `authors` of the label at `key` endorse both its ends,
+    with author sets `one` and `other`; any others are reported as `code`."""
+    extra = authors - (one & other)
+    if extra:
+        report.add(code, f"authors {sorted(extra)} of {label} {key!r} do "
+                         f"not endorse both {ends}")
+    return not extra
 
 
 def read_fact(o: Olog, eq_name: str) -> str:

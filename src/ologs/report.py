@@ -12,8 +12,11 @@ class Finding:
     code: str
     message: str
 
-    def to_json(self) -> dict:
-        return {"code": self.code, "message": self.message}
+
+def json_report(ok: bool, findings: list[Finding]) -> dict:
+    """The document that every command prints under --json."""
+    return {"ok": ok, "findings": [{"code": f.code, "message": f.message}
+                                   for f in findings]}
 
 
 @dataclass
@@ -37,10 +40,7 @@ class ValidationReport:
         self.warnings.extend(other.warnings)
 
     def to_json(self) -> dict:
-        return {
-            "ok": self.ok,
-            "findings": [f.to_json() for f in self.findings + self.warnings],
-        }
+        return json_report(self.ok, self.findings + self.warnings)
 
     def __str__(self) -> str:
         lines = [f"{f.code}: {f.message}" for f in self.findings]
