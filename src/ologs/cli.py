@@ -105,13 +105,15 @@ def cmd_check_instance(args) -> int:
     return _emit(report, args.json)
 
 
-def _load_data(args, m):
-    """Load both bundles and check their tables are total and in range."""
+def _load_data(args, doc, base, m):
+    """Load both bundles and check their tables are total and in range;
+    only then read the map's correspondence tables, each as its pairs."""
     i = load_bundle(args.src_data, m.source)
     j = load_bundle(args.dst_data, m.target)
     report = check_totality(i)
     report.extend(check_totality(j))
-    return i, j, report
+    pairs = load_correspondences(m, doc.tables, base) if report.ok else {}
+    return i, j, pairs, report
 
 
 def cmd_check_mapping(args) -> int:
@@ -122,11 +124,8 @@ def cmd_check_mapping(args) -> int:
         return 2
     doc, base, m, report = _checked_mapping(args.map_file, args.bound)
     if report.ok and with_data:
-        i, j, data_report = _load_data(args, m)
+        i, j, components, data_report = _load_data(args, doc, base, m)
         report.extend(data_report)
-        if not report.ok:
-            return _emit(report, args.json)
-        components = load_correspondences(m, doc.tables, base)
         for obj, pairs in components.items():
             components[obj] = dict(pairs)
             if len(components[obj]) != len(pairs):  # a key repeats
@@ -170,10 +169,9 @@ def cmd_search_conforming(args) -> int:
     doc, base, m, report = _checked_mapping(args.map_file)
     if not report.ok:
         return _emit(report, args.json)
-    i, j, report = _load_data(args, m)
+    i, j, correspondences, report = _load_data(args, doc, base, m)
     if not report.ok:
         return _emit(report, args.json)
-    correspondences = load_correspondences(m, doc.tables, base)
     count, survivors = search_conforming(m, i, j, correspondences, args.limit)
     listings = [
         [f"{obj}: {x} -> {y}"

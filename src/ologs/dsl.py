@@ -63,7 +63,7 @@ from .errors import (
     ShapeMismatch,
     UnknownGenerator,
 )
-from .instance import _read_utf8
+from .instance import _read_utf8, table_file
 from .language import AtomicVerb, NounPhrase, UNIT, read_verb
 from .mapping import OlogMorphism
 from .olog import AspectLabel, LinguisticStructure, Olog, TypeLabel
@@ -301,8 +301,7 @@ def _match_declaration(raw: str) -> TypeDecl | AspectDecl | FactDecl | None:
     _DECLARATION reads the line: the name group that is set tells its
     kind, and _author_ids checks its author list.  Where it returns a
     declaration, _declaration gives an equal one.  Only the word and path
-    groups are checked for "->", a fact's only where the line holds one,
-    and only a string that holds a backslash is unquoted.
+    groups are checked for "->", a fact's only where the line holds one.
     """
     m = _DECLARATION.fullmatch(raw)
     if m is None:
@@ -315,15 +314,12 @@ def _match_declaration(raw: str) -> TypeDecl | AspectDecl | FactDecl | None:
     if type_name is not None:
         if "->" in type_name:
             return None
-        if "\\" in noun:
-            noun = _unquote(noun)
-        return _new(TypeDecl, (type_name, noun, authors))
+        return _new(TypeDecl, (type_name, _unquote(noun), authors))
     if aspect_name is not None:
         if "->" in aspect_name or "->" in source or "->" in target:
             return None
-        if "\\" in verb:
-            verb = _unquote(verb)
-        return _new(AspectDecl, (aspect_name, source, target, verb, authors))
+        return _new(AspectDecl, (aspect_name, source, target, _unquote(verb),
+                                 authors))
     if "->" in raw and ("->" in name or "->" in left or "->" in right):
         return None
     return _new(FactDecl, (name, _path_ids(left), _path_ids(right), authors))
@@ -374,7 +370,8 @@ def serialize_olog(doc: OlogDocument) -> str:
 
 
 def olog_from_document(doc: OlogDocument) -> Olog:
-    """Build the olog, checking references, duplicates, and noun phrases."""
+    """Build the olog, checking references, duplicates, noun phrases, and
+    that each type and aspect id names a `table_file`."""
     type_names = [t.name for t in doc.types]
     declared_types = set(type_names)
     declared_aspects = {a.name: a for a in doc.aspects}
@@ -388,6 +385,8 @@ def olog_from_document(doc: OlogDocument) -> Olog:
                 if d.name in seen:
                     raise DuplicateId(f"{kind} {d.name!r} declared twice")
                 seen.add(d.name)
+    for name in (*type_names, *declared_aspects):
+        table_file(name)  # a bundle can hold its table
     generators = []
     for a in doc.aspects:
         if a.name in declared_types:  # their tables would share a file

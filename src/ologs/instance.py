@@ -19,6 +19,7 @@ from .errors import (
     AmbiguousHeader,
     DuplicateKey,
     MissingMapping,
+    OlogError,
     UnboundHeader,
     UnknownToken,
 )
@@ -398,10 +399,20 @@ def load_bundle(directory, o: Olog) -> Instance:
     return inst
 
 
+def table_file(name: str) -> str:
+    """`<name>.csv`, the file directly in a bundle's directory that holds
+    the table of the type or aspect `name`; OlogError if the name holds
+    "/" or NUL or the file name would take over 255 bytes in UTF-8."""
+    file = f"{name}.csv"
+    if "/" in file or "\0" in file or len(file.encode()) > 255:
+        raise OlogError(f"id {name!r} cannot name a table file")
+    return file
+
+
 def write_bundle(directory, inst: Instance) -> None:
-    """Write one table per type and aspect by `write_table_file`."""
+    """Write one table per type and aspect by `write_table_file` to its
+    `table_file`, each of which is found before anything is written."""
     directory = FsPath(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     o = inst.olog
     tables = [(obj, InstanceTable(type_header(o, obj), tuple(zip(toks))))
               for obj, toks in inst.tokens.items()]
@@ -410,8 +421,10 @@ def write_bundle(directory, inst: Instance) -> None:
         xs = tuple(filter(mapping.__contains__, inst.token_set(g.source)))
         rows = tuple(zip(xs, map(mapping.__getitem__, xs)))
         tables.append((gen, InstanceTable(generator_header(o, gen), rows)))
-    for name, table in tables:
-        write_table_file(directory / f"{name}.csv", table)
+    files = [table_file(name) for name, _ in tables]
+    directory.mkdir(parents=True, exist_ok=True)
+    for file, (_, table) in zip(files, tables):
+        write_table_file(directory / file, table)
 
 
 def instance_sentences(inst: Instance) -> list[str]:

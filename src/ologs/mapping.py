@@ -142,10 +142,10 @@ def validate_linguistic_functor(
     return report
 
 
-def pullback_instance(f: CatFunctor, j: Instance, name: str | None = None) -> Instance:
+def pullback_instance(f: CatFunctor, j: Instance) -> Instance:
     """Re-tabulate an instance on f.target as an instance on f.source.
     Each pulled type shares j's tokens and token set at its image."""
-    pulled = pullback_olog(f, j.olog, name)
+    pulled = pullback_olog(f, j.olog)
     tokens = {c: j.token_set(f.apply_object(c)) for c in f.source.objects}
     functions = {
         g.name: path_table(j, f.apply(Path(g.source, (g.name,))))

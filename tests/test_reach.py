@@ -62,7 +62,8 @@ def test_ranges():
 
 def test_the_script_needs_invocations():
     done = subprocess.run([sys.executable, str(ROOT / "tools" / "reach.py")],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, encoding="utf-8",
+                          timeout=60)
     assert done.returncode == 2
     assert "give --corpus, --workload or both" in done.stderr
 
@@ -71,7 +72,7 @@ def test_the_script_prints_a_total():
     done = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "reach.py"),
          "--workload", "merge-search", "--seed", "11"],
-        capture_output=True, text=True, timeout=300)
+        capture_output=True, text=True, encoding="utf-8", timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     assert lines[-1].startswith("total: ")
