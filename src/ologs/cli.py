@@ -11,6 +11,7 @@ import functools
 import gc
 import json
 import sys
+from collections import Counter
 from pathlib import Path as FsPath
 
 from .category import DEFAULT_BOUND
@@ -129,13 +130,12 @@ def cmd_check_mapping(args) -> int:
         for obj, pairs in components.items():
             components[obj] = dict(pairs)
             if len(components[obj]) != len(pairs):  # a key repeats
-                keys = sorted(x for x, _ in pairs)
-                for x, before in zip(keys[1:], keys):
-                    if x == before:
-                        report.add(
-                            "ambiguous-correspondence",
-                            f"table at {obj!r} declares two partners "
-                            f"for {x!r}")
+                counts = Counter(x for x, _ in pairs)
+                for x in sorted(x for x in counts if counts[x] > 1):
+                    n = "two" if counts[x] == 2 else counts[x]
+                    report.add("ambiguous-correspondence",
+                               f"table at {obj!r} declares {n} partners "
+                               f"for {x!r}")
         if report.ok:
             p = InstanceMorphism(i, j, m, components)
             report.extend(check_naturality(p))

@@ -469,13 +469,8 @@ def document_from_olog(o: Olog) -> OlogDocument:
 
 def read_text(path) -> str:
     """A document's text, read by `instance._read_utf8`, with "\\r\\n" and
-    a lone "\\r" read as "\\n", as text mode reads them; a file that is
-    not UTF-8 is a ValueError naming it and the byte's position in the
-    whole file."""
-    try:
-        text = _read_utf8(path)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    a lone "\\r" read as "\\n", as text mode reads them."""
+    text = _read_utf8(path)
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text

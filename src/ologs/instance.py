@@ -9,7 +9,7 @@ for a generator.
 from __future__ import annotations
 
 import csv
-import errno
+import io
 import os
 from dataclasses import dataclass, field
 from pathlib import Path as FsPath
@@ -227,19 +227,23 @@ def render_correspondences(inst: Instance, gen: str) -> list[str]:
 
 
 def _read_utf8(path) -> str:
-    """A file's text by one unbuffered binary read and one strict UTF-8
-    decode: a byte that is not UTF-8 raises UnicodeDecodeError at its
-    position in the whole file, and newlines are not translated."""
+    """Every input file's text, by one unbuffered binary read and one
+    strict UTF-8 decode, newlines untranslated; a byte that is not UTF-8
+    is a ValueError naming the file and the byte's position in it."""
     with open(path, "rb", buffering=0) as handle:
-        return handle.read().decode("utf-8")
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def read_table_file(path) -> InstanceTable:
-    with open(path, newline="", encoding="utf-8") as handle:
-        try:
-            rows = list(map(tuple, filter(None, csv.reader(handle))))
-        except (csv.Error, UnicodeDecodeError) as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    text = io.StringIO(_read_utf8(path), newline="")
+    try:
+        rows = list(map(tuple, filter(None, csv.reader(text))))
+    except csv.Error as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty table file")
     return InstanceTable(header=rows[0], rows=tuple(rows[1:]))
@@ -356,21 +360,12 @@ def load_bundle(directory, o: Olog) -> Instance:
     The directory is listed by one `os.scandir` on its pathlib form;
     its entries named "*.csv" (".x.csv" and directories too) are read in
     name order, by `str` paths that name them as `FsPath(directory) /
-    name`.  A path that is not a directory is an ENOENT or ENOTDIR
-    OSError, as `Path.is_dir` and `exists` tell them apart; a directory
-    that cannot be listed raises `scandir`'s OSError.
+    name`.  A path that cannot be listed raises `scandir`'s own error.
     """
     directory = str(FsPath(directory))
-    try:
-        with os.scandir(directory) as entries:
-            names = sorted(entry.name for entry in entries
-                           if entry.name.endswith(".csv"))
-    except (OSError, ValueError):
-        listed = FsPath(directory)
-        if listed.is_dir():
-            raise
-        code = errno.ENOTDIR if listed.exists() else errno.ENOENT
-        raise OSError(code, os.strerror(code), directory) from None
+    with os.scandir(directory) as entries:
+        names = sorted(entry.name for entry in entries
+                       if entry.name.endswith(".csv"))
     prefix = "" if directory == "." else os.path.join(directory, "")
     index = _header_index(o)
     objects = set(o.category.objects)

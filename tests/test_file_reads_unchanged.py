@@ -5,11 +5,13 @@ Ologs, maps and plain tables are read by one unbuffered binary read and
 one strict UTF-8 decode, and a bundle is listed by `os.scandir` and its
 tables named by `str` joins.  The tables a bundle holds, the names
 errors give them and the paths that are no bundle, line endings, a
-byte-order mark and the position of a byte that is not UTF-8 must read
-as they did when files were read in text mode, the bundle checked by
-`Path.is_dir` and `exists` and listed by `Path.glob("*.csv")`.  The
-expected texts are those of those readers.  The one change: a bundle
-directory that cannot be listed is an error, not an empty bundle.
+byte-order mark and the position of a byte that is not UTF-8 in an olog
+or a map must read as they did when files were read in text mode and a
+bundle listed by `Path.glob("*.csv")`.  The expected texts are those of
+those readers, but for three changes: a bundle directory that cannot be
+listed is an error, not an empty bundle; a bundle path that is no
+directory gives `os.scandir`'s own error; and a bad byte in a table is
+placed in the whole file, not in its 8 KiB decoding block.
 """
 
 import errno
@@ -76,10 +78,10 @@ ADA = b"a person\nAda\n"
     # A byte-order mark is part of the header.
     ({"person.csv": "\ufeffa person\nAda\n".encode()},
      (1, "", "bad-bundle: no type reads '\\ufeffa person'\n")),
-    # read_table_file counts the position within its decoding block.
+    # A bad byte is placed in the whole file, past the first 8 KiB too.
     ({"person.csv": b"a person\n" + b"x" * 9000 + b"\xff\n"},
      (2, "", "error: b/person.csv: 'utf-8' codec can't decode byte 0xff "
-             "in position 817: invalid start byte\n")),
+             "in position 9009: invalid start byte\n")),
 ])
 def test_bundle_listing(work, capsys, files, expected):
     bush_with("b", files)
@@ -107,15 +109,18 @@ def test_the_working_directory_as_bundle(work, capsys, monkeypatch,
         2, "", "error: person.csv: empty table file\n")
 
 
-# `Path.is_dir` and `exists` read a symbolic-link loop (ELOOP) and a
-# path through a file (ENOTDIR) as missing paths.
+NOT_A_DIRECTORY = f"[Errno {errno.ENOTDIR}] {os.strerror(errno.ENOTDIR)}"
+LOOP = f"[Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}"
+
+
+# `os.scandir`'s own error: a path through a file is ENOTDIR, and a
+# symbolic-link loop ELOOP.
 @pytest.mark.parametrize("directory, shown", [
     ("./nope/", "[Errno 2] No such file or directory: 'nope'"),
     ("f/father.olog/", "[Errno 20] Not a directory: 'f/father.olog'"),
-    ("f/father.olog/x", "[Errno 2] No such file or directory: "
-                        "'f/father.olog/x'"),
-    ("loop", "[Errno 2] No such file or directory: 'loop'"),
-    ("./loop/x", "[Errno 2] No such file or directory: 'loop/x'"),
+    ("f/father.olog/x", f"{NOT_A_DIRECTORY}: 'f/father.olog/x'"),
+    ("loop", f"{LOOP}: 'loop'"),
+    ("./loop/x", f"{LOOP}: 'loop/x'"),
 ])
 def test_a_bundle_path_that_is_no_directory(work, capsys, directory, shown):
     os.symlink("loop", "loop")
@@ -123,11 +128,10 @@ def test_a_bundle_path_that_is_no_directory(work, capsys, directory, shown):
         2, "", f"error: {shown}\n")
 
 
-def test_a_bundle_path_holding_a_nul_is_a_missing_path():
-    with pytest.raises(FileNotFoundError) as caught:
+def test_a_bundle_path_holding_a_nul_is_a_value_error():
+    with pytest.raises(ValueError) as caught:
         load_bundle("a\0b", load_olog(FIXTURES / "father.olog"))
-    assert str(caught.value) == (
-        "[Errno 2] No such file or directory: 'a\\x00b'")
+    assert str(caught.value) == "embedded null byte"
 
 
 def test_a_bundle_that_cannot_be_listed_is_an_error(work, capsys,
