@@ -91,10 +91,9 @@ class PathCategory:
         self._object_set = frozenset(self.objects)
         if len(self._object_set) != len(self.objects):
             raise UnknownObject("duplicate object identifiers")
-        names = [g.name for g in self.generators]
-        if len(set(names)) != len(names):
-            raise UnknownGenerator("duplicate generator identifiers")
         self._gen_index = {g.name: g for g in self.generators}
+        if len(self._gen_index) != len(self.generators):
+            raise UnknownGenerator("duplicate generator identifiers")
         for g in self.generators:
             if (g.source not in self._object_set
                     or g.target not in self._object_set):

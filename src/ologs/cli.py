@@ -175,8 +175,8 @@ def cmd_search_conforming(args) -> int:
     count, survivors = search_conforming(m, i, j, correspondences, args.limit)
     listings = [
         [f"{obj}: {x} -> {y}"
-         for obj, function in sorted(morphism.component_functions.items())
-         for x, y in sorted(function.items())]
+         for obj, function in morphism.component_functions.items()
+         for x, y in function.items()]
         for morphism in survivors
     ]
     if args.json:

@@ -387,6 +387,8 @@ def olog_from_document(doc: OlogDocument) -> Olog:
                 seen.add(d.name)
     for name in (*type_names, *declared_aspects):
         table_file(name)  # a bundle can hold its table
+    if "1" in declared_aspects:  # a path's `[1]` reads as the identity
+        raise DuplicateId("aspect '1' has the id of the identity path [1]")
     generators = []
     for a in doc.aspects:
         if a.name in declared_types:  # their tables would share a file

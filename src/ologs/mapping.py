@@ -144,16 +144,14 @@ def validate_linguistic_functor(
 
 def pullback_instance(f: CatFunctor, j: Instance) -> Instance:
     """Re-tabulate an instance on f.target as an instance on f.source.
-    Each pulled type shares j's tokens and token set at its image."""
+    Each pulled type shares j's tokens at its image."""
     pulled = pullback_olog(f, j.olog)
     tokens = {c: j.token_set(f.apply_object(c)) for c in f.source.objects}
     functions = {
         g.name: path_table(j, f.apply(Path(g.source, (g.name,))))
         for g in f.source.generators
     }
-    inst = Instance(pulled, tokens, functions)
-    inst._token_sets.update((c, j._tokens_at(f.apply_object(c))) for c in tokens)
-    return inst
+    return Instance(pulled, tokens, functions)
 
 
 def correspondence_pairs(table: InstanceTable) -> frozenset[tuple[str, str]]:
@@ -226,7 +224,7 @@ def check_naturality(p: InstanceMorphism) -> ValidationReport:
         comp = p.component_functions.get(c, {})
         fc = m.functor.apply_object(c)
         xs = i.token_set(c)
-        if comp.keys() >= i._tokens_at(c) and j.has_tokens(
+        if all(map(comp.__contains__, xs)) and j.has_tokens(
                 fc, map(comp.__getitem__, xs)):
             continue
         for x in xs:
@@ -280,8 +278,8 @@ def search_conforming(
     assigns one source token at a time in canonical order (objects
     sorted, then tokens sorted), tries only the token's declared
     partners, and checks each naturality square as soon as both of its
-    tokens are assigned.  Survivors come out in lexicographic order,
-    the order in which the families themselves would be listed.
+    tokens are assigned.  Survivors come out in lexicographic order, and
+    each one's component_functions is in canonical order, ready to list.
     """
     objs = sorted(m.source.category.objects)
     codomains = {

@@ -3,6 +3,7 @@
     python3 tools/ab.py OLD_CHECKOUT NEW_CHECKOUT --workload schema-scale
     python3 tools/ab.py ../parent . --workload all --seed 11 --rounds 30
     python3 tools/ab.py ../parent . --corpus fixtures
+    python3 tools/ab.py ../parent . --workload all --count
 
 Each checkout's `src/ologs` is imported under its own package name, so
 both run in this process on the same inputs.  The inputs are the
@@ -18,6 +19,18 @@ paths relative to it, and their bytes.
 For each workload it prints the median wall time of a round on each side
 and the median, over rounds, of NEW time / OLD time with its quartiles;
 a ratio below 1 means NEW is faster.
+
+With `--count` it times nothing and instead counts bytecodes, as
+`tests/test_complexity.py` does: for each workload, each side runs one
+round under `sys.settrace` with opcode events on, whose count is
+dropped (it fills first-call caches, and on Python 3.12 the first
+traced round in a process counts less), then one counted round.  The
+counted round's outputs are compared as a timed round's are.  It prints
+each side's total, NEW/OLD, and the split by module file: each
+checkout's `ologs/<module>.py`, and everything else, the standard
+library included, as `other`.  A count repeats exactly under one
+interpreter, so it shows a change of Python-level work that a host's
+drift would hide; work inside one C call is not counted.
 
 With `--corpus fixtures` it times nothing and instead runs a fixed list
 of invocations once on each side: every `tests/fixtures/*.olog` under
@@ -49,6 +62,7 @@ Stdlib only; nothing in `ologs` imports this script.
 from __future__ import annotations
 
 import argparse
+import collections
 import gc
 import importlib.util
 import io
@@ -98,11 +112,12 @@ def written(argv: list[str]) -> dict[str, bytes]:
             for path in sorted(out.rglob("*")) if path.is_file()}
 
 
-def run_round(cli, ops) -> tuple[float, list]:
+def run_round(cli, ops, tracer=None) -> tuple[float, list]:
     """Wall seconds of the `olog` calls of one round, and their results:
     exit code, stdout, stderr and written files.  Preparation, reading
     the written files and garbage collection are outside the timed
-    region."""
+    region, and outside `tracer`, which `sys.settrace` sets for each
+    call."""
     total, results = 0.0, []
     for op in ops:
         if op.prepare is not None:
@@ -110,9 +125,13 @@ def run_round(cli, ops) -> tuple[float, list]:
         gc.collect()
         outcome = []
         for argv in op.steps:
-            start = time.perf_counter()
-            result = call(cli, argv)
-            total += time.perf_counter() - start
+            sys.settrace(tracer)
+            try:
+                start = time.perf_counter()
+                result = call(cli, argv)
+                total += time.perf_counter() - start
+            finally:
+                sys.settrace(None)
             outcome.append((*result, written(argv)))
         results.append((op, outcome))
     return total, results
@@ -162,6 +181,64 @@ def compare(workload, clis, seed: int, rounds: int, tiny: bool) -> bool:
           f"round median OLD {1e3 * statistics.median(times[0]):.1f} ms, "
           f"NEW {1e3 * statistics.median(times[1]):.1f} ms; "
           f"NEW/OLD median {median:.3f} (quartiles {q1:.3f}-{q3:.3f})")
+    return True
+
+
+def count_round(cli, ops) -> tuple[collections.Counter, list]:
+    """The bytecodes one round of `ops` executes, by code file name, and
+    the round's results."""
+    counts = collections.Counter()
+
+    def calls(frame, event, arg):
+        frame.f_trace_lines = False
+        frame.f_trace_opcodes = True
+        name = frame.f_code.co_filename
+
+        def opcodes(frame, event, arg):
+            if event == "opcode":
+                counts[name] += 1
+            return opcodes
+        return opcodes
+
+    return counts, run_round(cli, ops, calls)[1]
+
+
+def by_module(counts: collections.Counter, cli) -> collections.Counter:
+    """`counts` summed by module of the checkout's `ologs` package, as
+    `<module>.py`, with every other file as `other`."""
+    package = Path(cli.__file__).parent
+    split = collections.Counter()
+    for name, n in counts.items():
+        path = Path(name)
+        split[path.name if path.parent == package else "other"] += n
+    return split
+
+
+def count(workload, clis, seed: int, tiny: bool) -> bool:
+    sizes = workload.tiny if tiny else workload.sizes
+    with tempfile.TemporaryDirectory(prefix="ab-") as directory:
+        ops = workload.generate(Path(directory), seed, sizes)
+        splits, results = [], []
+        for cli in clis:
+            count_round(cli, ops)  # dropped: see the module docstring
+            counts, outcome = count_round(cli, ops)
+            splits.append(by_module(counts, cli))
+            results.append(outcome)
+    difference = first_difference(*results)
+    if difference:
+        print(f"{workload.name}: counted round: {difference}")
+        return False
+
+    def line(old: int, new: int) -> str:
+        ratio = f"{new / old:.3f}" if old else "-"
+        return f"OLD {old:,}, NEW {new:,}; NEW/OLD {ratio}"
+
+    old, new = splits
+    print(f"{workload.name}: bytecodes of one round of {len(ops)} "
+          f"operations: {line(old.total(), new.total())}")
+    modules = sorted((old.keys() | new.keys()) - {"other"})
+    for module in [*modules, "other"]:
+        print(f"  {module}: {line(old[module], new[module])}")
     return True
 
 
@@ -352,11 +429,16 @@ def main(argv=None) -> int:
     parser.add_argument("--expect", type=Path, metavar="FILE",
                         help="with --corpus: the invocations, one a line as "
                              "the corpus prints them, that must differ")
+    parser.add_argument("--count", action="store_true",
+                        help="count the bytecodes of one round of each "
+                             "workload instead of timing rounds")
     args = parser.parse_args(argv)
     if args.rounds < 2:
         parser.error("--rounds must be at least 2")
     if args.expect and not args.corpus:
         parser.error("--expect needs --corpus")
+    if args.count and args.corpus:
+        parser.error("--count cannot be used with --corpus")
     clis = [load_cli(args.old.resolve(), "ologs_old"),
             load_cli(args.new.resolve(), "ologs_new")]
     if args.corpus:
@@ -368,8 +450,11 @@ def main(argv=None) -> int:
     names = list(WORKLOADS) if args.workload == "all" else [args.workload]
     ok = True
     for name in names:
-        ok = compare(WORKLOADS[name], clis, args.seed, args.rounds,
-                     args.tiny) and ok
+        if args.count:
+            ok = count(WORKLOADS[name], clis, args.seed, args.tiny) and ok
+        else:
+            ok = compare(WORKLOADS[name], clis, args.seed, args.rounds,
+                         args.tiny) and ok
     return 0 if ok else 1
 
 
