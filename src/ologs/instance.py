@@ -158,16 +158,6 @@ class InstanceTable:
             raise ValueError("duplicate rows")
 
 
-@record
-class TableBinding:
-    """What a table contributes to an instance: tokens or a function."""
-
-    kind: str  # "tokens" | "function"
-    target: str  # object id or generator id
-    tokens: tuple[str, ...] = ()
-    mapping: tuple[tuple[str, str], ...] = ()
-
-
 def type_header(o: Olog, obj: str) -> tuple[str, ...]:
     return (str(o.noun(obj)),)
 
@@ -206,12 +196,9 @@ def _bind(table: InstanceTable, index: dict) -> tuple[str, str, object]:
     return "function", matches[0], mapping
 
 
-def load_table(table: InstanceTable, o: Olog) -> TableBinding:
+def load_table(table: InstanceTable, o: Olog) -> tuple[str, str, object]:
     """Bind a table to a type or generator by its header text."""
-    kind, target, content = _bind(table, _header_index(o))
-    if kind == "tokens":
-        return TableBinding(kind, target, tokens=content)
-    return TableBinding(kind, target, mapping=tuple(content.items()))
+    return _bind(table, _header_index(o))
 
 
 def render_correspondences(inst: Instance, gen: str) -> list[str]:
@@ -242,11 +229,11 @@ def read_table_file(path) -> InstanceTable:
     text = io.StringIO(_read_utf8(path), newline="")
     try:
         rows = list(map(tuple, filter(None, csv.reader(text))))
-    except csv.Error as exc:
+        if not rows:
+            raise ValueError("empty table file")
+        return InstanceTable(header=rows[0], rows=tuple(rows[1:]))
+    except (csv.Error, ValueError) as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if not rows:
-        raise ValueError(f"{path}: empty table file")
-    return InstanceTable(header=rows[0], rows=tuple(rows[1:]))
 
 
 class _Lines(list):

@@ -5,7 +5,8 @@ reads correspondence tables straight into component dicts.  Neither may
 change which error a damaged bundle gives first, the text of that error,
 the `ambiguous-correspondence` findings and their order, or what
 `has_token` and `has_tokens` answer.  The expected texts are those of the
-readers before these changes.
+readers before these changes, but for the table path that now heads a
+table's shape error.
 """
 
 import json
@@ -76,7 +77,7 @@ def test_a_repeated_token_in_t0_is_the_error(tmp_path, capsys):
     olog, bundle = damaged_chain(tmp_path, "u1", "u2")
     for json_flag in ((), ("--json",)):
         assert run(capsys, "check-instance", olog, bundle, *json_flag) == (
-            2, "", "error: duplicate rows\n")
+            2, "", f"error: {bundle}/t0.csv: duplicate rows\n")
 
 
 @pytest.fixture
@@ -114,7 +115,8 @@ def test_a_repeated_row_exits_2(merge, capsys):
                        "Emmy Noether,Emmy Noether\n", encoding="utf-8")
     for command in (["check-mapping", *args], ["check-mapping", *args, "--json"],
                     ["search-conforming", *args]):
-        assert run(capsys, *command) == (2, "", "error: duplicate rows\n")
+        assert run(capsys, *command) == (
+            2, "", f"error: {table}: duplicate rows\n")
 
 
 def assert_token_answers(inst):

@@ -150,18 +150,13 @@ class TestTables:
 
     def test_load_table_binds_tokens(self, father):
         table = InstanceTable(("a person",), (("Ada",), ("Alan",)))
-        binding = load_table(table, father)
-        assert binding.kind == "tokens"
-        assert binding.target == "person"
-        assert binding.tokens == ("Ada", "Alan")
+        assert load_table(table, father) == ("tokens", "person",
+                                             ("Ada", "Alan"))
 
     def test_load_table_binds_function(self, father):
         table = InstanceTable(("a person", "has a father, namely"),
                               (("Ada", "x"),))
-        binding = load_table(table, father)
-        assert binding.kind == "function"
-        assert binding.target == "has"
-        assert binding.mapping == (("Ada", "x"),)
+        assert load_table(table, father) == ("function", "has", {"Ada": "x"})
 
     def test_unbound_header(self, father):
         with pytest.raises(UnboundHeader):

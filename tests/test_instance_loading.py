@@ -1,11 +1,12 @@
 """load_bundle and check_totality against per-table and per-token references.
 
 The references restate the loader and the totality check the slow way:
-every header is matched against every type and aspect, every table is
-bound through `load_table`'s fields, and every token is checked one by
-one.  On fixture and random bundles, corrupted or not, the library must
-return an equal Instance or raise the same exception with the same
-message, and must report the same findings in the same order.
+every header is matched against every type and aspect, every table's
+(kind, target, content) triple must equal `load_table`'s, and every
+token is checked one by one.  On fixture and random bundles, corrupted
+or not, the library must return an equal Instance or raise the same
+exception with the same message, and must report the same findings in
+the same order.
 """
 
 import csv
@@ -38,7 +39,7 @@ FIXTURE_BUNDLES = (("father.olog", "bush"), ("human.olog", "human"),
 
 
 def reference_binding(table, o):
-    """(kind, target, tokens or pairs) as the per-table matcher binds."""
+    """(kind, target, tokens or mapping) as the per-table matcher binds."""
     if len(table.header) == 1:
         matches = [obj for obj in o.category.objects
                    if type_header(o, obj) == table.header]
@@ -60,7 +61,7 @@ def reference_binding(table, o):
         if row[0] in seen:
             raise DuplicateKey(f"two rows for token {row[0]!r}")
         seen.add(row[0])
-    return "function", matches[0], tuple((x, y) for x, y in table.rows)
+    return "function", matches[0], {x: y for x, y in table.rows}
 
 
 def reference_load_bundle(directory, o):
@@ -69,9 +70,7 @@ def reference_load_bundle(directory, o):
     for path in sorted(FsPath(directory).glob("*.csv")):
         table = read_table_file(path)
         kind, target, content = reference_binding(table, o)
-        binding = load_table(table, o)
-        assert (binding.kind, binding.target) == (kind, target)
-        assert (binding.tokens if kind == "tokens" else binding.mapping) == content
+        assert load_table(table, o) == (kind, target, content)
         name = path.stem
         if name in o.category.objects:
             if kind != "tokens" or target != name:
@@ -82,7 +81,7 @@ def reference_load_bundle(directory, o):
             if kind != "function" or target != name:
                 raise UnboundHeader(f"{path.name}: header binds to {target!r}, "
                                     f"not to aspect {name!r}")
-            functions[name] = dict(content)
+            functions[name] = content
         else:
             raise UnboundHeader(f"{path.name}: no type or aspect named {name!r}")
     return Instance(o, tokens, functions)

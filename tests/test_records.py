@@ -36,7 +36,7 @@ from ologs.dsl import (
     parse_olog,
     serialize_olog,
 )
-from ologs.instance import InstanceTable, TableBinding
+from ologs.instance import InstanceTable
 from ologs.language import (
     UNIT,
     AtomicVerb,
@@ -72,8 +72,6 @@ EXAMPLES = {
                                         Path("x", ("g",))),
     "ologs.dsl.Token": Token("WORD", "type", 1, 5),
     "ologs.instance.InstanceTable": InstanceTable(("a x",), (("t",),)),
-    "ologs.instance.TableBinding": TableBinding("function", "f", (),
-                                                (("t", "u"),)),
     "ologs.language.NounPhrase": A_X,
     "ologs.language.UnitVerb": UNIT,
     "ologs.language.AtomicVerb": HAS,
