@@ -17,10 +17,9 @@ from pathlib import Path as FsPath
 from .category import DEFAULT_BOUND
 from .dsl import (
     document_from_olog,
+    load_mapping,
     load_olog,
     morphism_from_document,
-    parse_mapping,
-    read_text,
     serialize_olog,
 )
 from .errors import OlogError, ParseError
@@ -52,12 +51,7 @@ def _emit(report: ValidationReport, as_json: bool) -> int:
 def _checked_mapping(path: str, bound: int = DEFAULT_BOUND):
     """Read a map, load both ologs and build the morphism; then validate
     both ologs and, if they pass, the linguistic functor between them."""
-    doc = parse_mapping(read_text(path))
-    for side, ref in (("source", doc.source_ref), ("target", doc.target_ref)):
-        if side in doc.endpoint_lines and not ref:
-            raise OlogError(f"{path}: empty {side} reference")
-        if not ref:
-            raise OlogError(f"{path}: no {side} line")
+    doc = load_mapping(path)
     base = FsPath(path).parent
     m = morphism_from_document(doc, load_olog(base / doc.source_ref),
                                load_olog(base / doc.target_ref))

@@ -59,6 +59,7 @@ from .errors import (
     BadVerbPhrase,
     DanglingReference,
     DuplicateId,
+    OlogError,
     ParseError,
     ShapeMismatch,
     UnknownGenerator,
@@ -204,7 +205,7 @@ def _nonblank_lines(text: str, match=None) -> list:
     an unterminated string is reported before a grammar error on an
     earlier line.  A line after the header that `match` reads becomes its
     value; every other line becomes a _LineParser.  Lines end only at
-    "\\n", "\\r\\n" or "\\r", as `read_text` reads them."""
+    "\\n", "\\r\\n" or "\\r"; no other code reads a document's line ends."""
     lines = []
     text = text.replace("\r\n", "\n").replace("\r", "\n")
     for lineno, raw in enumerate(text.removesuffix("\n").split("\n"), 1):
@@ -469,17 +470,8 @@ def document_from_olog(o: Olog) -> OlogDocument:
     return doc
 
 
-def read_text(path) -> str:
-    """A document's text, read by `instance._read_utf8`, with "\\r\\n" and
-    a lone "\\r" read as "\\n", as text mode reads them."""
-    text = _read_utf8(path)
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    return text
-
-
 def load_olog(path) -> Olog:
-    return olog_from_document(parse_olog(read_text(path)))
+    return olog_from_document(parse_olog(_read_utf8(path)))
 
 
 @dataclass
@@ -597,6 +589,17 @@ def parse_mapping(text: str) -> MappingDocument:
     doc.source_ref = refs.get("source", "")
     doc.target_ref = refs.get("target", "")
     doc.endpoint_lines = frozenset(refs)
+    return doc
+
+
+def load_mapping(path) -> MappingDocument:
+    """The map at `path`, which must name both ologs by a nonempty path."""
+    doc = parse_mapping(_read_utf8(path))
+    for side, ref in (("source", doc.source_ref), ("target", doc.target_ref)):
+        if side in doc.endpoint_lines and not ref:
+            raise OlogError(f"{path}: empty {side} reference")
+        if not ref:
+            raise OlogError(f"{path}: no {side} line")
     return doc
 
 

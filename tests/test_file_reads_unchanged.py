@@ -24,7 +24,7 @@ import pytest
 
 from conftest import FIXTURES
 from ologs import cli
-from ologs.dsl import load_olog, read_text
+from ologs.dsl import load_olog
 from ologs.instance import (
     _bind,
     _header_index,
@@ -170,17 +170,12 @@ def test_line_endings_of_ologs_and_maps(work, capsys, newline):
     ]
     before = [run(capsys, *argv) for argv in commands]
     pulled = FsPath("pulled.olog").read_bytes()
-    texts = {name: read_text(f"f/{name}")
-             for name in ("father.olog", "merge_is.map", "marriage.map")}
     for name in os.listdir("f"):
         if name.endswith((".olog", ".map")):
             rewrite(f"f/{name}", newline)
     assert [run(capsys, *argv) for argv in commands] == before
     assert FsPath("pulled.olog").read_bytes() == pulled
     assert before[1] == (0, "", "")
-    for name, text in texts.items():
-        assert "\r" not in text
-        assert read_text(f"f/{name}") == text
 
 
 def test_a_byte_order_mark_stays_in_an_olog(work, capsys):
@@ -253,22 +248,3 @@ def test_plain_answers_are_the_csv_readers_whatever_the_header(tmp_path):
             answered += 1
             assert plain == _bind(read_table_file(path), index)
     assert answered > 100
-
-
-def test_read_text_is_text_mode_reading(tmp_path):
-    rng = random.Random(27)
-    path = tmp_path / "doc.olog"
-    for _ in range(500):
-        text = "".join(rng.choice(PIECES + ["\ufeff", "é"])
-                       for _ in range(rng.randint(0, 12)))
-        path.write_bytes(text.encode())
-        with open(path, encoding="utf-8") as handle:
-            assert read_text(path) == handle.read()
-    path.write_bytes(b"olog\n" + b"x" * 9000 + b"\xfe")
-    with pytest.raises(ValueError) as caught:
-        read_text(path)
-    with open(path, encoding="utf-8") as handle, \
-            pytest.raises(UnicodeDecodeError) as reference:
-        handle.read()
-    assert str(caught.value) == f"{path}: {reference.value}"
-    assert "position 9005" in str(caught.value)

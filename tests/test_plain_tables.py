@@ -22,8 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ologs.category import Equation, Generator, Path, PathCategory
-from ologs.dsl import (load_olog, morphism_from_document, parse_mapping,
-                       read_text)
+from ologs.dsl import load_mapping, load_olog, morphism_from_document
 from ologs.errors import OlogError
 from ologs.instance import (
     Instance,
@@ -280,7 +279,7 @@ def test_plain_reader_answers_only_for_plain_tables(tmp_path, text, answers):
 
 def merge_is_morphism():
     fixtures = FsPath(__file__).parent / "fixtures"
-    doc = parse_mapping(read_text(fixtures / "merge_is.map"))
+    doc = load_mapping(fixtures / "merge_is.map")
     return morphism_from_document(doc, load_olog(fixtures / doc.source_ref),
                                   load_olog(fixtures / doc.target_ref))
 

@@ -78,3 +78,19 @@ def test_the_script_prints_a_total():
     assert lines[-1].startswith("total: ")
     assert any(line.startswith("category.PathCategory.path_equal: ")
                for line in lines)
+
+
+def test_a_workload_round_is_traced():
+    """The workload's calls run under the script's line trace: a round of
+    merge-search runs most of `mapping.search_conforming`."""
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "reach.py"),
+         "--workload", "merge-search", "--seed", "11"],
+        capture_output=True, text=True, encoding="utf-8", timeout=300)
+    assert done.returncode == 0, done.stderr
+    prefix = "mapping.search_conforming: "
+    unrun = [int(line[len(prefix):].split()[0])
+             for line in done.stdout.splitlines() if line.startswith(prefix)]
+    lines = reach.executable_lines()["mapping.search_conforming"][1]
+    assert len(lines) > 30
+    assert sum(unrun) < len(lines) // 2

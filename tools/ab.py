@@ -117,7 +117,8 @@ def run_round(cli, ops, tracer=None) -> tuple[float, list]:
     exit code, stdout, stderr and written files.  Preparation, reading
     the written files and garbage collection are outside the timed
     region, and outside `tracer`, which `sys.settrace` sets for each
-    call."""
+    call; with no `tracer`, the caller's trace stays in place."""
+    outer = sys.gettrace()
     total, results = 0.0, []
     for op in ops:
         if op.prepare is not None:
@@ -125,13 +126,13 @@ def run_round(cli, ops, tracer=None) -> tuple[float, list]:
         gc.collect()
         outcome = []
         for argv in op.steps:
-            sys.settrace(tracer)
+            sys.settrace(tracer or outer)
             try:
                 start = time.perf_counter()
                 result = call(cli, argv)
                 total += time.perf_counter() - start
             finally:
-                sys.settrace(None)
+                sys.settrace(outer)
             outcome.append((*result, written(argv)))
         results.append((op, outcome))
     return total, results
